@@ -35,11 +35,10 @@ from .core import (
 from .covariance import HermitianMatrix, hermitian_eigenvalues, sample_covariance
 from .estimators import (
     ESTIMATORS,
-    WindowMoments,
     estimate_new,
     estimate_wk_aic,
     estimate_wk_mdl,
-    window_moments,
+    window_statistics,
 )
 from .montecarlo import (
     CltCheckReport,
@@ -83,8 +82,7 @@ __all__ = [
     "sample_covariance",
     "hermitian_eigenvalues",
     # estimators
-    "WindowMoments",
-    "window_moments",
+    "window_statistics",
     "estimate_wk_aic",
     "estimate_wk_mdl",
     "estimate_new",

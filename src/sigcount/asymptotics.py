@@ -158,7 +158,10 @@ def two_source_eigenvalues(
 
     Takes source powers p1, p2, the norms of the two steering vectors, and
     the magnitude of their inner product. The discriminant is evaluated with
-    hypot to stay stable when the two rank-one terms nearly balance.
+    hypot to stay stable when the two rank-one terms nearly balance. The
+    small root comes from the product of the roots (Vieta),
+    (lambda_1 - sigma2)(lambda_2 - sigma2) = p1 p2 (|v1|^2 |v2|^2 - inner^2),
+    so it keeps full relative accuracy for nearly coherent sources.
 
     Raises:
         DomainError: non-positive powers/norms, negative inner product
@@ -178,7 +181,11 @@ def two_source_eigenvalues(
     d2 = p2 * norm2**2
     half_sum = (d1 + d2) / 2.0
     half_disc = math.hypot(d1 - d2, 2.0 * math.sqrt(p1 * p2) * inner) / 2.0
-    return (sigma2 + half_sum + half_disc, sigma2 + half_sum - half_disc)
+    big = half_sum + half_disc
+    norms = norm1 * norm2
+    # inner may exceed norms by the round-off the Cauchy-Schwarz check allows.
+    small = p1 * max(norms - inner, 0.0) * (p2 * (norms + inner) / big)
+    return (sigma2 + big, sigma2 + small)
 
 
 def identifiability_check(

@@ -240,6 +240,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
+        if args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
         grid = _parse_grid(args.grid)
         scenario = ScenarioSpec(
             signal_eigenvalues=_parse_signals(args.signals),

@@ -1,29 +1,31 @@
 """Signal-count estimators operating on a sample eigenvalue spectrum.
 
 Three estimators share the same contract: scan candidate signal counts
-k = 0, ..., min(n, m) - 1, score each k from the n - k smallest eigenvalues,
-and return the smallest k attaining the minimum score.
+k = 0, ..., min(n, m) - 1, score each k from the statistics of the noise
+window l_{k+1}, ..., l_n, and return the smallest k attaining the minimum
+score. :func:`window_statistics` computes those statistics for every k in one
+pass of suffix sums over the spectrum divided by its largest eigenvalue, so
+k_hat does not change when the spectrum is scaled across the float range.
 
 ``estimate_wk_aic`` and ``estimate_wk_mdl`` are the classical information
-criteria built on the arithmetic/geometric mean ratio of the noise window.
-``estimate_new`` scores the window by how far its mean-square-to-squared-mean
-ratio sits from the value random matrix theory predicts for pure noise at
-aspect ratio n/m, which keeps it calibrated when m is comparable to or
-smaller than n.
+criteria built on the geometric/arithmetic mean ratio of the window. Every
+window holds l_n, so both degenerate (all criteria +inf, k_hat 0) exactly
+when the smallest eigenvalue is 0. ``estimate_new`` scores the window by how
+far its mean-square-to-squared-mean ratio sits from the value random matrix
+theory predicts for pure noise at aspect ratio n/m, which keeps it
+calibrated when m is comparable to or smaller than n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DetectionResult, EstimatorId, SampleSpectrum
 
 __all__ = [
-    "WindowMoments",
-    "window_moments",
+    "window_statistics",
     "estimate_wk_aic",
     "estimate_wk_mdl",
     "estimate_new",
@@ -31,48 +33,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WindowMoments:
-    """Moments of the n - k smallest sample eigenvalues.
+def window_statistics(spectrum: SampleSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistics of the windows l_{k+1}, ..., l_n for k = 0, ..., min(n, m) - 1.
 
-    ``t`` is mean_square / mean**2 (+inf when the window mean is 0) and
-    ``geo_mean`` is 0 whenever the window contains a zero eigenvalue.
+    Returns three arrays indexed by k: the window mean; t_k, the mean square
+    over the squared mean (+inf when the window is all zero); and
+    log(g/a), the log of the geometric over the arithmetic mean (-inf for
+    every k when l_n is 0).
     """
+    eigs = spectrum.eigenvalues
+    n, k_count = spectrum.n, min(spectrum.n, spectrum.m)
+    # x lies in [0, 1], so its squares cannot overflow at any scale of the
+    # spectrum; the sums accumulate from l_n, the small end.
+    scale = eigs[0] if eigs[0] > 0.0 else 1.0
+    x = eigs / scale
 
-    k: int
-    mean: float
-    mean_square: float
-    geo_mean: float
-    t: float
+    def suffix_sum(a: np.ndarray) -> np.ndarray:
+        return np.cumsum(a[::-1])[::-1][:k_count]
 
-
-def window_moments(spectrum: SampleSpectrum, k: int) -> WindowMoments:
-    """Moments of eigenvalues l_{k+1}, ..., l_n for candidate signal count k."""
-    if not 0 <= k < spectrum.n:
-        raise ValueError(f"k must satisfy 0 <= k < n={spectrum.n}, got {k}")
-    window = spectrum.eigenvalues[k:]
-    mean = float(window.mean())
-    mean_square = float((window * window).mean())
-    if np.any(window == 0.0):
-        geo_mean = 0.0
+    size = np.arange(n, n - k_count, -1, dtype=float)
+    s1, s2 = suffix_sum(x), suffix_sum(x * x)
+    mean = s1 / size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(s1 > 0.0, size * s2 / (s1 * s1), np.inf)
+    if eigs[-1] == 0.0:
+        log_ratio = np.full(k_count, -np.inf)
     else:
-        geo_mean = float(np.exp(np.log(window).mean()))
-    t = mean_square / (mean * mean) if mean > 0.0 else math.inf
-    return WindowMoments(k=k, mean=mean, mean_square=mean_square, geo_mean=geo_mean, t=t)
+        log_ratio = suffix_sum(np.log(x)) / size - np.log(mean)
+    return mean * scale, t, log_ratio
 
 
-def _argmin_result(criteria: list[float], estimator_id: EstimatorId) -> DetectionResult:
-    # Ties (including the all-infinite degenerate case) break to the smallest k.
-    k_hat = min(range(len(criteria)), key=lambda k: (criteria[k], k))
-    values = tuple((k, criteria[k]) for k in range(len(criteria)))
-    return DetectionResult(k_hat=k_hat, criterion_values=values, estimator_id=estimator_id)
-
-
-def _wk_log_ratio(moments: WindowMoments) -> float:
-    """log(g(k) / a(k)); -inf when the window holds a zero eigenvalue."""
-    if moments.geo_mean == 0.0 or moments.mean == 0.0:
-        return -math.inf
-    return math.log(moments.geo_mean / moments.mean)
+def _wk_fit(spectrum: SampleSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(k, -(n-k) m log(g/a)) over the searched range; the fit is +inf at l_n = 0."""
+    n, m = spectrum.n, spectrum.m
+    k = np.arange(min(n, m))
+    return k, -(n - k) * m * window_statistics(spectrum)[2]
 
 
 def estimate_wk_aic(spectrum: SampleSpectrum) -> DetectionResult:
@@ -82,28 +77,20 @@ def estimate_wk_aic(spectrum: SampleSpectrum) -> DetectionResult:
     0 <= k < min(n, m). A window touching a zero eigenvalue of a
     rank-deficient covariance scores +inf, so singular spectra report 0.
     """
-    n, m = spectrum.n, spectrum.m
-    criteria: list[float] = []
-    for k in range(min(n, m)):
-        ratio = _wk_log_ratio(window_moments(spectrum, k))
-        if ratio == -math.inf:
-            criteria.append(math.inf)
-        else:
-            criteria.append(-2.0 * (n - k) * m * ratio + 2.0 * k * (2 * n - k))
-    return _argmin_result(criteria, EstimatorId.WK_AIC)
+    k, fit = _wk_fit(spectrum)
+    criteria = 2.0 * fit + 2.0 * k * (2 * spectrum.n - k)
+    return DetectionResult(
+        int(np.argmin(criteria)), tuple(enumerate(criteria.tolist())), EstimatorId.WK_AIC
+    )
 
 
 def estimate_wk_mdl(spectrum: SampleSpectrum) -> DetectionResult:
     """MDL form: -(n-k) m log(g(k)/a(k)) + (1/2) k (2n - k) log m."""
-    n, m = spectrum.n, spectrum.m
-    criteria: list[float] = []
-    for k in range(min(n, m)):
-        ratio = _wk_log_ratio(window_moments(spectrum, k))
-        if ratio == -math.inf:
-            criteria.append(math.inf)
-        else:
-            criteria.append(-(n - k) * m * ratio + 0.5 * k * (2 * n - k) * math.log(m))
-    return _argmin_result(criteria, EstimatorId.WK_MDL)
+    k, fit = _wk_fit(spectrum)
+    criteria = fit + 0.5 * k * (2 * spectrum.n - k) * math.log(spectrum.m)
+    return DetectionResult(
+        int(np.argmin(criteria)), tuple(enumerate(criteria.tolist())), EstimatorId.WK_MDL
+    )
 
 
 def estimate_new(spectrum: SampleSpectrum) -> DetectionResult:
@@ -117,18 +104,16 @@ def estimate_new(spectrum: SampleSpectrum) -> DetectionResult:
     is asymptotically N(0, (4/beta)(n/m)^2) under a noise-only window, and the
     criterion (beta/4)(m/n)^2 q_k^2 + 2 (k + 1) is its AIC-penalized square.
     Remains well defined for m < n, where the classical criteria degenerate.
+    An all-zero window scores +inf.
     """
     n, m, beta = spectrum.n, spectrum.m, spectrum.beta
     c = n / m
-    criteria: list[float] = []
-    for k in range(min(n, m)):
-        moments = window_moments(spectrum, k)
-        if moments.mean == 0.0:
-            criteria.append(math.inf)
-            continue
-        q_k = n * (moments.t - (1.0 + c)) - (2.0 / beta - 1.0) * c
-        criteria.append((beta / 4.0) * (m / n) ** 2 * q_k**2 + 2.0 * (k + 1))
-    return _argmin_result(criteria, EstimatorId.NEW_RMT_AIC)
+    t = window_statistics(spectrum)[1]
+    q = n * (t - (1.0 + c)) - (2.0 / beta - 1.0) * c
+    criteria = (beta / 4.0) * (m / n) ** 2 * q**2 + 2.0 * (np.arange(t.size) + 1)
+    return DetectionResult(
+        int(np.argmin(criteria)), tuple(enumerate(criteria.tolist())), EstimatorId.NEW_RMT_AIC
+    )
 
 
 #: Dispatch table used by the simulation harness and the command line.

@@ -9,7 +9,6 @@ grid points never perturbs the streams of earlier points.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +52,7 @@ class ExperimentPlan:
             raise ValueError("grid must be non-empty")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        SeedPolicy(self.master_seed)  # raises unless master_seed is a 64-bit unsigned int
         if not self.estimators:
             raise ValueError("at least one estimator must be selected")
         if len(set(self.estimators)) != len(self.estimators):
@@ -98,8 +98,10 @@ def _tally_trials(
     tallies: dict[EstimatorId, Counter] = {est: Counter() for est in estimators}
     for trial in range(first_index, first_index + count):
         try:
-            snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
-            eigs = hermitian_eigenvalues(sample_covariance(snapshots))
+            # Nested so the snapshots are freed before the next trial draws its own.
+            eigs = hermitian_eigenvalues(
+                sample_covariance(generate_snapshots(scenario, SeedPolicy(master_seed, trial)))
+            )
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"n={scenario.n}, m={scenario.m}, trial={trial}: {exc}"
@@ -140,6 +142,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[TrialSummary]
                 )
             )
     else:
+        # Imported here: serial runs never need the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = []
             for g, (n, m) in enumerate(plan.grid):

@@ -178,6 +178,13 @@ class TestTwoSourceEigenvalues:
             closed = two_source_eigenvalues(p1, p2, norm1, norm2, rho * norm1 * norm2, sigma2)
             np.testing.assert_allclose(solved, closed, rtol=1e-8)
 
+    def test_small_root_nearly_coherent(self):
+        # With p = 1 and unit norms the roots are sigma2 + 1 +- rho, so
+        # lambda_2 - sigma2 = 1 - rho, which is exact in floating point here.
+        rho, sigma2 = 1.0 - 1e-8, 1e-12
+        _, lam2 = two_source_eigenvalues(1.0, 1.0, 1.0, 1.0, rho, sigma2)
+        assert abs((lam2 - sigma2) - (1.0 - rho)) <= 1e-14 * (1.0 - rho)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             two_source_eigenvalues(0.0, 1.0, 1.0, 1.0, 0.0, 1.0)

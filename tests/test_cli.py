@@ -287,6 +287,20 @@ class TestSimulateCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0")],
+        ids=["negative_seed", "seed_above_64_bits", "zero_workers"],
+    )
+    def test_invalid_seed_or_workers_is_exit_3(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "simulate", "--signals", "10", "--grid", "8:32", "--trials", "5",
+            flag, value,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestKeffCommand:
     def test_oversampled(self, capsys):

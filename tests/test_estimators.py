@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from helpers import spectrum_from
 from sigcount import (
     ESTIMATORS,
@@ -16,7 +19,7 @@ from sigcount import (
     hermitian_eigenvalues,
     sample_covariance,
     validate_spectrum,
-    window_moments,
+    window_statistics,
 )
 
 # Frozen against a 50-digit independent evaluation of the criterion
@@ -35,41 +38,33 @@ def seeded_spectrum(signals, n, m, seed=0, beta=1, sigma2=1.0):
 
 class TestWindowMoments:
     def test_hand_case(self):
-        moments = window_moments(spectrum_from([4.0, 1.0], m=10), 0)
-        assert moments.mean == 2.5
-        assert moments.mean_square == 8.5
-        assert moments.geo_mean == 2.0
-        assert moments.t == 8.5 / 6.25
+        mean, t, log_ratio = window_statistics(spectrum_from([4.0, 1.0], m=10))
+        assert mean[0] == 2.5
+        assert t[0] * mean[0] ** 2 == pytest.approx(8.5, rel=1e-15)
+        assert log_ratio[0] == pytest.approx(math.log(2.0 / 2.5), rel=1e-15)
+        assert t[0] == 8.5 / 6.25
 
     def test_window_drops_leading_eigenvalues(self):
-        moments = window_moments(spectrum_from([9.0, 4.0, 1.0], m=10), 1)
-        assert moments.k == 1
-        assert moments.mean == 2.5
-        assert moments.geo_mean == 2.0
+        mean, _, log_ratio = window_statistics(spectrum_from([9.0, 4.0, 1.0], m=10))
+        assert mean.shape == log_ratio.shape == (3,)
+        assert mean[1] == pytest.approx(2.5, rel=1e-15)
+        assert log_ratio[1] == pytest.approx(math.log(2.0 / 2.5), rel=1e-14)
 
     def test_zero_in_window_kills_geo_mean(self):
-        moments = window_moments(spectrum_from([4.0, 0.0], m=1), 0)
-        assert moments.geo_mean == 0.0
-        assert moments.mean == 2.0
+        mean, _, log_ratio = window_statistics(spectrum_from([4.0, 0.0], m=1))
+        assert log_ratio[0] == -math.inf
+        assert mean[0] == 2.0
 
     def test_all_zero_window_has_infinite_t(self):
-        moments = window_moments(spectrum_from([4.0, 0.0, 0.0], m=1), 1)
-        assert moments.mean == 0.0
-        assert moments.t == math.inf
-
-    def test_k_range_checked(self):
-        spectrum = spectrum_from([2.0, 1.0], m=10)
-        with pytest.raises(ValueError):
-            window_moments(spectrum, -1)
-        with pytest.raises(ValueError):
-            window_moments(spectrum, 2)
+        mean, t, _ = window_statistics(spectrum_from([4.0, 0.0, 0.0], m=3))
+        assert mean[1] == 0.0
+        assert t[1] == math.inf
 
     def test_t_at_least_one(self):
         # mean-square over squared-mean is >= 1 for any non-negative window.
         for seed in range(5):
             spectrum = seeded_spectrum([8.0], n=12, m=6, seed=seed)
-            for k in range(spectrum.n):
-                assert window_moments(spectrum, k).t >= 1.0 - 1e-12
+            assert np.all(window_statistics(spectrum)[1] >= 1.0 - 1e-12)
 
 
 class TestFrozenCriteria:
@@ -107,7 +102,7 @@ class TestEstimatorBehaviour:
         for estimate in ESTIMATORS.values():
             assert estimate(spectrum).k_hat == 0
 
-    @pytest.mark.parametrize("gamma", [1e-3, 1e3])
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-3, 1e3, 1e300])
     def test_scale_invariance(self, gamma):
         base = seeded_spectrum([10.0, 3.0], n=16, m=64, seed=3)
         scaled = validate_spectrum(base.eigenvalues * gamma, 16, 64, 1)
@@ -162,3 +157,50 @@ class TestEstimatorBehaviour:
         assert estimate_new(spectrum).k_hat == 2
         assert estimate_wk_aic(spectrum).k_hat == 2
         assert estimate_wk_mdl(spectrum).k_hat == 2
+
+
+@st.composite
+def oracle_spectra(draw):
+    """Seeded sample spectra with m < n, m = n and m = 1, optionally zero-tailed."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, 4 * n)))
+    beta = draw(st.sampled_from([1, 2]))
+    signals = draw(st.lists(st.floats(1.5, 100.0), max_size=min(3, n - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    eigs = seeded_spectrum(sorted(signals, reverse=True), n, m, seed, beta).eigenvalues.copy()
+    zeros = draw(st.integers(0, n))
+    eigs[n - zeros:] = 0.0
+    return validate_spectrum(eigs, n, m, beta)
+
+
+ORACLE_PAIRS = [
+    (estimate_new, oracle.new_criteria),
+    (estimate_wk_aic, oracle.wk_aic_criteria),
+    (estimate_wk_mdl, oracle.wk_mdl_criteria),
+]
+
+
+class TestAgainstPerKOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(spectrum=oracle_spectra())
+    @example(spectrum=spectrum_from([0.0, 0.0, 0.0], m=2))
+    @example(spectrum=spectrum_from([0.0, 0.0, 0.0], m=2, beta=2))
+    @example(spectrum=spectrum_from([5.0, 2.0, 1.0, 0.0, 0.0], m=5))
+    @example(spectrum=spectrum_from([5.0, 2.0, 1.0], m=1))
+    @example(spectrum=spectrum_from([5.0, 2.0, 1.0, 0.5], m=2, beta=2))
+    def test_matches_oracle(self, spectrum):
+        for estimate, reference in ORACLE_PAIRS:
+            result = estimate(spectrum)
+            want = reference(spectrum)
+            got = [v for _, v in result.criterion_values]
+            assert [k for k, _ in result.criterion_values] == list(range(len(want)))
+            assert all(type(v) is float for v in got)
+            assert result.k_hat == oracle.argmin_k(want)
+            assert [v if math.isinf(v) else 0.0 for v in got] == [
+                v if math.isinf(v) else 0.0 for v in want
+            ]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        mean, t, _ = window_statistics(spectrum)
+        moments = [oracle.window_moments(spectrum, k) for k in range(mean.size)]
+        np.testing.assert_allclose(mean, [w.mean for w in moments], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(t, [w.t for w in moments], rtol=1e-9, atol=0.0)

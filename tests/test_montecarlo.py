@@ -43,6 +43,11 @@ class TestExperimentPlan:
         with pytest.raises(ValueError):
             small_plan(trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError):
+            small_plan(master_seed=seed)
+
     def test_rejects_duplicate_estimators(self):
         with pytest.raises(ValueError):
             small_plan(estimators=(EstimatorId.WK_AIC, EstimatorId.WK_AIC))
