@@ -92,13 +92,31 @@ def clt_statistics(spectrum: SampleSpectrum) -> tuple[float, float]:
     return (float(eigs.sum()) - first, float((eigs * eigs).sum()) - second)
 
 
+def _check_sigma2_c(sigma2: float, c: float) -> None:
+    # Written as not (x > 0) so that NaN fails too.
+    if not (sigma2 > 0) or not math.isfinite(sigma2):
+        raise DomainError(f"sigma2 must be finite and > 0, got {sigma2}")
+    if not (c > 0) or not math.isfinite(c):
+        raise DomainError(f"aspect ratio c must be finite and > 0, got {c}")
+
+
 def detection_threshold(sigma2: float, c: float) -> float:
-    """Population eigenvalue level sigma2 (1 + sqrt(c)) separating detectable spikes."""
+    """Population eigenvalue level sigma2 (1 + sqrt(c)) separating detectable spikes.
+
+    Raises:
+        DomainError: unless sigma2 and c are finite and > 0.
+    """
+    _check_sigma2_c(sigma2, c)
     return sigma2 * (1.0 + math.sqrt(c))
 
 
 def bulk_edge(sigma2: float, c: float) -> float:
-    """Almost-sure limit sigma2 (1 + sqrt(c))^2 of the largest noise eigenvalue."""
+    """Almost-sure limit sigma2 (1 + sqrt(c))^2 of the largest noise eigenvalue.
+
+    Raises:
+        DomainError: unless sigma2 and c are finite and > 0.
+    """
+    _check_sigma2_c(sigma2, c)
     return sigma2 * (1.0 + math.sqrt(c)) ** 2
 
 
@@ -120,14 +138,12 @@ def spiked_limit(lambda_j: float, sigma2: float, c: float) -> SpikedPrediction:
     two branches agree at the threshold.
 
     Raises:
-        DomainError: unless lambda_j >= sigma2 > 0 and c > 0.
+        DomainError: unless sigma2, c and lambda_j are finite, sigma2 and c
+            are > 0, and lambda_j >= sigma2.
     """
-    if sigma2 <= 0:
-        raise DomainError(f"sigma2 must be > 0, got {sigma2}")
-    if lambda_j < sigma2:
-        raise DomainError(f"lambda_j must be >= sigma2={sigma2}, got {lambda_j}")
-    if c <= 0:
-        raise DomainError(f"aspect ratio c must be > 0, got {c}")
+    _check_sigma2_c(sigma2, c)
+    if not (lambda_j >= sigma2) or not math.isfinite(lambda_j):
+        raise DomainError(f"lambda_j must be finite and >= sigma2={sigma2}, got {lambda_j}")
     above = lambda_j > detection_threshold(sigma2, c)
     if above:
         limit = lambda_j * (1.0 + sigma2 * c / (lambda_j - sigma2))

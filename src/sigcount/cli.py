@@ -1,15 +1,19 @@
 """Command line frontend: estimate | simulate | keff | limits | clt-check.
 
-Exit codes: 0 success, 1 statistical failure (clt-check only), 2 input
-parse failure, 3 validation failure.
+Exit codes: 0 success, 1 statistical failure (clt-check only), 2 a file could
+not be read, parsed or written, 3 an invalid value, including values outside
+the float range that make the eigensolve fail. Each failure prints one
+``error: ...`` line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -20,13 +24,10 @@ from .asymptotics import (
     spiked_limit,
 )
 from .core import (
-    DomainError,
+    ConvergenceFailure,
     EstimatorId,
-    NegativeEigenvalue,
-    NonFiniteInput,
     SampleSpectrum,
     ScenarioSpec,
-    UnsupportedField,
     validate_spectrum,
 )
 from .covariance import hermitian_eigenvalues, sample_covariance
@@ -45,14 +46,6 @@ __all__ = [
 
 #: Fixed default so bare invocations are reproducible; override with --seed.
 DEFAULT_SEED = 1729
-
-_VALIDATION_ERRORS = (
-    ValueError,
-    DomainError,
-    NonFiniteInput,
-    NegativeEigenvalue,
-    UnsupportedField,
-)
 
 _ESTIMATOR_ALIASES = {
     "new": EstimatorId.NEW_RMT_AIC,
@@ -158,12 +151,6 @@ def write_snapshot_file(path: str, snapshots: SnapshotMatrix) -> None:
             f.write(",".join(cells) + "\n")
 
 
-def _open_output(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -195,169 +182,101 @@ def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(points)
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
-        loaded = load_input_file(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputFormatError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        estimators = _parse_estimators(args.estimators)
-        if isinstance(loaded, SnapshotMatrix):
-            eigs = hermitian_eigenvalues(sample_covariance(loaded))
-            spectrum = validate_spectrum(eigs, loaded.n, loaded.m, loaded.beta)
-        else:
-            spectrum = loaded
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
+    loaded = load_input_file(args.input)
+    estimators = _parse_estimators(args.estimators)
+    if isinstance(loaded, SnapshotMatrix):
+        eigs = hermitian_eigenvalues(sample_covariance(loaded))
+        spectrum = validate_spectrum(eigs, loaded.n, loaded.m, loaded.beta)
+    else:
+        spectrum = loaded
     results = [ESTIMATORS[est](spectrum) for est in estimators]
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        header = ["estimator_id", "k_hat"]
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["estimator_id", "k_hat"]
+    if args.verbose:
+        header += [f"crit_k{k}" for k, _ in results[0].criterion_values]
+    writer.writerow(header)
+    for result in results:
+        row = [result.estimator_id.value, result.k_hat]
         if args.verbose:
-            header += [f"crit_k{k}" for k, _ in results[0].criterion_values]
-        writer.writerow(header)
-        for result in results:
-            row = [result.estimator_id.value, result.k_hat]
-            if args.verbose:
-                row += [repr(float(value)) for _, value in result.criterion_values]
-            writer.writerow(row)
-    finally:
-        if close:
-            out.close()
+            row += [repr(float(value)) for _, value in result.criterion_values]
+        writer.writerow(row)
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        if args.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers}")
-        grid = _parse_grid(args.grid)
-        scenario = ScenarioSpec(
-            signal_eigenvalues=_parse_signals(args.signals),
-            noise_variance=args.sigma2,
-            n=grid[0][0],
-            m=grid[0][1],
-            beta=args.beta,
-        )
-        plan = ExperimentPlan(
-            scenario=scenario,
-            grid=grid,
-            trials=args.trials,
-            master_seed=args.seed,
-            estimators=_parse_estimators(args.estimators),
-        )
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    summaries = run_experiment(plan, workers=args.workers)
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "m", "estimator", "k", "probability", "stderr"])
-        for summary in summaries:
-            for k in range(min(summary.n, summary.m)):
-                p = summary.counts.get(k, 0) / summary.trials
-                se = math.sqrt(p * (1.0 - p) / summary.trials)
-                writer.writerow(
-                    [summary.n, summary.m, summary.estimator_id.value, k, repr(p), repr(se)]
-                )
-    finally:
-        if close:
-            out.close()
-    return 0
-
-
-def cmd_keff(args: argparse.Namespace) -> int:
-    try:
-        spec = ScenarioSpec(
-            signal_eigenvalues=_parse_signals(args.signals),
-            noise_variance=args.sigma2,
-            n=args.n,
-            m=args.m,
-            beta=args.beta,
-        )
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    threshold = detection_threshold(spec.noise_variance, spec.n / spec.m)
-    k_eff = effective_num_signals(spec)
-    out, close = _open_output(args.output)
-    try:
-        print(f"threshold={threshold:g}, k_eff={k_eff}", file=out)
-    finally:
-        if close:
-            out.close()
-    return 0
-
-
-def cmd_limits(args: argparse.Namespace) -> int:
-    try:
-        if args.c is not None:
-            c = args.c
-        elif args.n is not None and args.m is not None:
-            c = args.n / args.m
-        else:
-            raise ValueError("provide either --c or both --n and --m")
-        signals = _parse_signals(args.signals)
-        if c <= 0:
-            raise ValueError(f"aspect ratio must be > 0, got {c}")
-        predictions = [spiked_limit(lam, args.sigma2, c) for lam in signals]
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    edge = bulk_edge(args.sigma2, c)
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["lambda", "limit", "above_threshold", "bulk_edge"])
-        for pred in predictions:
+def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
+    grid = _parse_grid(args.grid)
+    scenario = ScenarioSpec(
+        signal_eigenvalues=_parse_signals(args.signals),
+        noise_variance=args.sigma2,
+        n=grid[0][0],
+        m=grid[0][1],
+        beta=args.beta,
+    )
+    plan = ExperimentPlan(
+        scenario=scenario,
+        grid=grid,
+        trials=args.trials,
+        master_seed=args.seed,
+        estimators=_parse_estimators(args.estimators),
+    )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["n", "m", "estimator", "k", "probability", "stderr"])
+    for summary in run_experiment(plan, workers=args.workers):
+        for k in range(min(summary.n, summary.m)):
+            p = summary.counts.get(k, 0) / summary.trials
+            se = math.sqrt(p * (1.0 - p) / summary.trials)
             writer.writerow(
-                [repr(float(pred.population_eigenvalue)), repr(float(pred.limit)),
-                 str(pred.above_threshold).lower(), repr(float(edge))]
+                [summary.n, summary.m, summary.estimator_id.value, k, repr(p), repr(se)]
             )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
-def cmd_clt_check(args: argparse.Namespace) -> int:
+def cmd_keff(args: argparse.Namespace, out: TextIO) -> int:
+    spec = ScenarioSpec(
+        signal_eigenvalues=_parse_signals(args.signals),
+        noise_variance=args.sigma2,
+        n=args.n,
+        m=args.m,
+    )
+    threshold = detection_threshold(spec.noise_variance, spec.n / spec.m)
+    print(f"threshold={threshold:g}, k_eff={effective_num_signals(spec)}", file=out)
+    return 0
+
+
+def cmd_limits(args: argparse.Namespace, out: TextIO) -> int:
+    if args.c is not None:
+        c = args.c
+    elif args.n is not None and args.m is not None:
+        if args.n < 1 or args.m < 1:
+            raise ValueError(f"--n and --m must be >= 1, got n={args.n}, m={args.m}")
+        c = args.n / args.m
+    else:
+        raise ValueError("provide either --c or both --n and --m")
+    predictions = [spiked_limit(lam, args.sigma2, c) for lam in _parse_signals(args.signals)]
+    edge = bulk_edge(args.sigma2, c)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["lambda", "limit", "above_threshold", "bulk_edge"])
+    for pred in predictions:
+        writer.writerow(
+            [repr(float(pred.population_eigenvalue)), repr(float(pred.limit)),
+             str(pred.above_threshold).lower(), repr(float(edge))]
+        )
+    return 0
+
+
+def cmd_clt_check(args: argparse.Namespace, out: TextIO) -> int:
     if args.trials < 1000:
-        print(f"error: clt-check needs at least 1000 trials, got {args.trials}", file=sys.stderr)
-        return 3
-    if args.beta not in (1, 2):
-        print(f"error: clt-check simulates beta in (1, 2), got {args.beta}", file=sys.stderr)
-        return 3
-    try:
-        report = run_clt_check(args.n, args.m, args.beta, args.trials, args.seed)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    out, close = _open_output(args.output)
-    try:
-        print(f"n={report.n} m={report.m} beta={report.beta} trials={report.trials}", file=out)
-        print(f"empirical mean     : {report.empirical_mean.tolist()}", file=out)
-        print(f"mean tolerance (4s): {report.mean_tolerance.tolist()}", file=out)
-        print(f"empirical cov      : {report.empirical_cov.tolist()}", file=out)
-        print(f"predicted cov      : {report.predicted_cov.tolist()}", file=out)
-        print(f"mean check : {'pass' if report.mean_ok else 'FAIL'}", file=out)
-        print(f"cov check  : {'pass' if report.cov_ok else 'FAIL'} (10% bands)", file=out)
-        print("PASS" if report.passed else "FAIL", file=out)
-    finally:
-        if close:
-            out.close()
+        raise ValueError(f"clt-check needs at least 1000 trials, got {args.trials}")
+    report = run_clt_check(args.n, args.m, args.beta, args.trials, args.seed)
+    print(f"n={report.n} m={report.m} beta={report.beta} trials={report.trials}", file=out)
+    print(f"empirical mean     : {report.empirical_mean.tolist()}", file=out)
+    print(f"mean tolerance (4s): {report.mean_tolerance.tolist()}", file=out)
+    print(f"empirical cov      : {report.empirical_cov.tolist()}", file=out)
+    print(f"predicted cov      : {report.predicted_cov.tolist()}", file=out)
+    print(f"mean check : {'pass' if report.mean_ok else 'FAIL'}", file=out)
+    print(f"cov check  : {'pass' if report.cov_ok else 'FAIL'} (10% bands)", file=out)
+    print("PASS" if report.passed else "FAIL", file=out)
     return 0 if report.passed else 1
 
 
@@ -367,8 +286,6 @@ def cmd_clt_check(args: argparse.Namespace) -> int:
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--signals", default="", help="signal eigenvalues, e.g. '10,3'")
     parser.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1)")
-    parser.add_argument("--beta", type=int, default=1, choices=(1, 2, 4),
-                        help="field indicator: 1 real, 2 complex, 4 quaternion")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,24 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("input", help="input file (header: 'eigenvalues,...' or 'snapshots,...')")
     p_est.add_argument("--estimators", default="new,aic,mdl")
     p_est.add_argument("--verbose", action="store_true", help="append per-k criterion values")
-    p_est.add_argument("--output", default=None, help="output CSV path (default stdout)")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo detection probabilities over an (n, m) grid")
     _add_scenario_flags(p_sim)
+    p_sim.add_argument("--beta", type=int, default=1, choices=(1, 2),
+                       help="field indicator: 1 real, 2 complex")
     p_sim.add_argument("--grid", required=True, help="grid points 'n1:m1,n2:m2,...'")
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--estimators", default="new,aic,mdl")
     p_sim.add_argument("--workers", type=int, default=1, help="worker processes (results identical)")
-    p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_keff = sub.add_parser("keff", help="effective number of detectable signals")
     _add_scenario_flags(p_keff)
     p_keff.add_argument("--n", type=int, required=True)
     p_keff.add_argument("--m", type=int, required=True)
-    p_keff.add_argument("--output", default=None)
     p_keff.set_defaults(func=cmd_keff)
 
     p_lim = sub.add_parser("limits", help="asymptotic sample-eigenvalue limits for given signals")
@@ -407,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--c", type=float, default=None, help="aspect ratio n/m")
     p_lim.add_argument("--n", type=int, default=None)
     p_lim.add_argument("--m", type=int, default=None)
-    p_lim.add_argument("--output", default=None)
     p_lim.set_defaults(func=cmd_limits)
 
     p_clt = sub.add_parser("clt-check", help="empirical check of the noise-only moment CLT")
@@ -416,15 +331,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_clt.add_argument("--beta", type=int, default=1, choices=(1, 2))
     p_clt.add_argument("--trials", type=int, default=5000)
     p_clt.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_clt.add_argument("--output", default=None)
     p_clt.set_defaults(func=cmd_clt_check)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="output path (default stdout)")
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place errors become exit codes.
+
+    The subcommand writes into a buffer that reaches ``--output`` (or
+    standard output) only when it returns 0 or 1, so a failed run leaves an
+    existing output file untouched.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    buffer = io.StringIO()
+    try:
+        code = args.func(args, buffer)
+        if args.output is None:
+            sys.stdout.write(buffer.getvalue())
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as f:
+                f.write(buffer.getvalue())
+    except OSError as exc:
+        return _fail(str(exc), 2)
+    # UnicodeDecodeError is a ValueError, so it must be caught before the
+    # validation errors. Only `estimate` reads a file, so both name its input.
+    except (InputFormatError, UnicodeDecodeError) as exc:
+        return _fail(f"{args.input}: {exc}", 2)
+    # DomainError, NonFiniteInput, NegativeEigenvalue and UnsupportedField
+    # are ValueErrors too.
+    except (ValueError, ConvergenceFailure) as exc:
+        return _fail(str(exc), 3)
+    return code
 
 
 if __name__ == "__main__":

@@ -85,6 +85,24 @@ class TestThresholds:
         assert bulk_edge(1.0, 4.0) == 9.0
         assert bulk_edge(2.0, 0.25) == 4.5
 
+    @pytest.mark.parametrize("formula", [
+        detection_threshold,
+        bulk_edge,
+        lambda sigma2, c: spiked_limit(10.0, sigma2, c),
+    ], ids=["detection_threshold", "bulk_edge", "spiked_limit"])
+    @pytest.mark.parametrize("sigma2,c", [
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    ])
+    def test_domain_is_finite_positive(self, formula, sigma2, c):
+        with pytest.raises(DomainError):
+            formula(sigma2, c)
+
+    @pytest.mark.parametrize("lambda_j", [math.nan, math.inf])
+    def test_spiked_limit_rejects_nonfinite_eigenvalue(self, lambda_j):
+        with pytest.raises(DomainError):
+            spiked_limit(lambda_j, 1.0, 1.0)
+
 
 class TestSpikedLimit:
     def test_above_threshold(self):

@@ -372,6 +372,62 @@ class TestCltCheckCommand:
         assert excinfo.value.code == 2
 
 
+# Every failing invocation: its exit code, nothing on stdout, one error line on
+# stderr and an existing --output file left as it was. {missing} names a file
+# in a directory that does not exist, so it cannot be written.
+CONTRACT = [
+    (("estimate", "{eigs}", "--output", "{missing}"), 2),
+    (("simulate", "--grid", "4:8", "--trials", "2", "--output", "{missing}"), 2),
+    (("keff", "--n", "4", "--m", "8", "--output", "{missing}"), 2),
+    (("limits", "--c", "1", "--output", "{missing}"), 2),
+    (("clt-check", "--n", "4", "--m", "8", "--trials", "1000", "--output", "{missing}"), 2),
+    (("estimate", "{not_utf8}"), 2),
+    (("estimate", "{huge}"), 3),
+    (("estimate", "{eigs}", "--estimators", "wavelet"), 3),
+    (("simulate", "--grid", "4:8", "--sigma2", "1e308", "--trials", "2"), 3),
+    (("simulate", "--grid", "8:32", "--trials", "0"), 3),
+    (("simulate", "--grid", "4:8", "--trials", "2", "--beta", "4"), 2),
+    (("keff", "--n", "4", "--m", "8", "--sigma2", "nan"), 3),
+    (("keff", "--n", "4", "--m", "8", "--beta", "2"), 2),
+    (("limits", "--c", "nan"), 3),
+    (("limits", "--c", "inf"), 3),
+    (("limits", "--sigma2", "nan", "--c", "1"), 3),
+    (("limits", "--n", "5", "--m", "0"), 3),
+    (("limits", "--c", "1", "--beta", "2"), 2),
+    (("clt-check", "--n", "0", "--trials", "1000"), 3),
+]
+
+
+@pytest.mark.parametrize("argv,code", CONTRACT, ids=[" ".join(a) for a, _ in CONTRACT])
+def test_exit_code_contract(capsys, tmp_path, argv, code):
+    snaps, spectrum = make_spectrum()
+    files = {name: str(tmp_path / f"{name}.txt") for name in ("eigs", "huge", "not_utf8")}
+    files["missing"] = str(tmp_path / "missing" / "out.csv")
+    write_eigenvalue_file(files["eigs"], spectrum)
+    # Finite in the file, but the covariance overflows to inf.
+    write_snapshot_file(files["huge"], SnapshotMatrix(snaps.data * 1e160, 16, 64, 1))
+    with open(files["not_utf8"], "wb") as f:
+        f.write(b"eigenvalues,n=2,m=10,beta=1\n1.0\n\xff2.0\n")
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"earlier output\n")
+    argv = [arg.format(**files) for arg in argv]
+    if "--output" not in argv:
+        argv += ["--output", str(existing)]
+
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad argv this way
+        got = exc.code
+    out, err = capsys.readouterr()
+
+    assert got == code
+    assert out == ""
+    assert [line for line in err.splitlines() if "error: " in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+    assert existing.read_bytes() == b"earlier output\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_missing_subcommand_is_parser_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
