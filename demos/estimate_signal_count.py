@@ -14,9 +14,7 @@ from sigcount import (
     SeedPolicy,
     detection_threshold,
     generate_snapshots,
-    hermitian_eigenvalues,
-    sample_covariance,
-    validate_spectrum,
+    snapshot_spectrum,
 )
 
 SEED = 20240814
@@ -31,9 +29,7 @@ def main():
     print()
 
     snapshots = generate_snapshots(scenario, SeedPolicy(SEED))
-    covariance = sample_covariance(snapshots)
-    eigs = hermitian_eigenvalues(covariance)
-    spectrum = validate_spectrum(eigs, scenario.n, scenario.m, scenario.beta)
+    spectrum = snapshot_spectrum(snapshots)
 
     print("five largest sample eigenvalues:",
           np.array2string(spectrum.eigenvalues[:5], precision=3))

@@ -15,8 +15,7 @@ from sigcount import (
     bulk_edge,
     detection_threshold,
     generate_snapshots,
-    hermitian_eigenvalues,
-    sample_covariance,
+    snapshot_spectrum,
     spiked_limit,
 )
 
@@ -30,7 +29,7 @@ def mean_top_eigenvalue(lam: float) -> float:
     for trial in range(TRIALS):
         scenario = ScenarioSpec((lam,), 1.0, N, M)
         snaps = generate_snapshots(scenario, SeedPolicy(SEED, trial))
-        tops.append(float(hermitian_eigenvalues(sample_covariance(snaps))[0]))
+        tops.append(float(snapshot_spectrum(snaps).eigenvalues[0]))
     return float(np.mean(tops))
 
 

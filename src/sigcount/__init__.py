@@ -32,7 +32,12 @@ from .core import (
     UnsupportedField,
     validate_spectrum,
 )
-from .covariance import HermitianMatrix, hermitian_eigenvalues, sample_covariance
+from .covariance import (
+    HermitianMatrix,
+    hermitian_eigenvalues,
+    sample_covariance,
+    snapshot_spectrum,
+)
 from .estimators import (
     ESTIMATORS,
     estimate_new,
@@ -81,6 +86,7 @@ __all__ = [
     "HermitianMatrix",
     "sample_covariance",
     "hermitian_eigenvalues",
+    "snapshot_spectrum",
     # estimators
     "window_statistics",
     "estimate_wk_aic",

@@ -35,10 +35,9 @@ def q_matrix(c: float, beta: int = 1) -> np.ndarray:
     """Limit covariance of the centered pair (sum l_i, sum l_i^2).
 
     Equals (2/beta) [[c, 2c(c+1)], [2c(c+1), 2c(2c^2 + 5c + 2)]]; symmetric
-    positive definite for every c > 0.
+    positive definite for every finite c > 0.
     """
-    if c <= 0:
-        raise DomainError(f"aspect ratio c must be > 0, got {c}")
+    _check_positive(c=c)
     if beta not in VALID_BETAS:
         raise DomainError(f"beta must be one of {VALID_BETAS}, got {beta}")
     off = 2.0 * c * (c + 1.0)
@@ -92,12 +91,17 @@ def clt_statistics(spectrum: SampleSpectrum) -> tuple[float, float]:
     return (float(eigs.sum()) - first, float((eigs * eigs).sum()) - second)
 
 
-def _check_sigma2_c(sigma2: float, c: float) -> None:
+def _check_positive(**values: float) -> None:
     # Written as not (x > 0) so that NaN fails too.
-    if not (sigma2 > 0) or not math.isfinite(sigma2):
-        raise DomainError(f"sigma2 must be finite and > 0, got {sigma2}")
-    if not (c > 0) or not math.isfinite(c):
-        raise DomainError(f"aspect ratio c must be finite and > 0, got {c}")
+    for name, x in values.items():
+        if not (x > 0) or not math.isfinite(x):
+            raise DomainError(f"{name} must be finite and > 0, got {x}")
+
+
+def _check_nonnegative(**values: float) -> None:
+    for name, x in values.items():
+        if not (x >= 0) or not math.isfinite(x):
+            raise DomainError(f"{name} must be finite and >= 0, got {x}")
 
 
 def detection_threshold(sigma2: float, c: float) -> float:
@@ -106,7 +110,7 @@ def detection_threshold(sigma2: float, c: float) -> float:
     Raises:
         DomainError: unless sigma2 and c are finite and > 0.
     """
-    _check_sigma2_c(sigma2, c)
+    _check_positive(sigma2=sigma2, c=c)
     return sigma2 * (1.0 + math.sqrt(c))
 
 
@@ -116,7 +120,7 @@ def bulk_edge(sigma2: float, c: float) -> float:
     Raises:
         DomainError: unless sigma2 and c are finite and > 0.
     """
-    _check_sigma2_c(sigma2, c)
+    _check_positive(sigma2=sigma2, c=c)
     return sigma2 * (1.0 + math.sqrt(c)) ** 2
 
 
@@ -141,7 +145,7 @@ def spiked_limit(lambda_j: float, sigma2: float, c: float) -> SpikedPrediction:
         DomainError: unless sigma2, c and lambda_j are finite, sigma2 and c
             are > 0, and lambda_j >= sigma2.
     """
-    _check_sigma2_c(sigma2, c)
+    _check_positive(sigma2=sigma2, c=c)
     if not (lambda_j >= sigma2) or not math.isfinite(lambda_j):
         raise DomainError(f"lambda_j must be finite and >= sigma2={sigma2}, got {lambda_j}")
     above = lambda_j > detection_threshold(sigma2, c)
@@ -180,15 +184,12 @@ def two_source_eigenvalues(
     so it keeps full relative accuracy for nearly coherent sources.
 
     Raises:
-        DomainError: non-positive powers/norms, negative inner product
-            magnitude, or inner > norm1 * norm2 (Cauchy-Schwarz).
+        DomainError: any input NaN or infinite, non-positive powers/norms,
+            negative inner product magnitude or sigma2, or
+            inner > norm1 * norm2 (Cauchy-Schwarz).
     """
-    if p1 <= 0 or p2 <= 0:
-        raise DomainError(f"source powers must be > 0, got {p1}, {p2}")
-    if norm1 <= 0 or norm2 <= 0:
-        raise DomainError(f"vector norms must be > 0, got {norm1}, {norm2}")
-    if inner < 0:
-        raise DomainError(f"inner product magnitude must be >= 0, got {inner}")
+    _check_positive(p1=p1, p2=p2, norm1=norm1, norm2=norm2)
+    _check_nonnegative(inner=inner, sigma2=sigma2)
     if inner > norm1 * norm2 * (1.0 + 1e-15):
         raise DomainError(
             f"inner product {inner} exceeds norm1*norm2={norm1 * norm2} (Cauchy-Schwarz)"
@@ -219,10 +220,11 @@ def identifiability_check(
     two population eigenvalues clears the detection threshold.
 
     Raises:
-        DomainError: any negative input.
+        DomainError: any input NaN, infinite or negative, norm = 0, or
+            n, m < 1.
     """
-    if p < 0 or norm < 0 or inner < 0 or sigma2 < 0:
-        raise DomainError("all inputs must be non-negative")
-    if norm == 0 or n < 1 or m < 1:
-        raise DomainError(f"need norm > 0 and positive n, m; got norm={norm}, n={n}, m={m}")
+    _check_nonnegative(p=p, inner=inner, sigma2=sigma2)
+    _check_positive(norm=norm)
+    if n < 1 or m < 1:
+        raise DomainError(f"n and m must be >= 1, got n={n}, m={m}")
     return p * norm**2 * (1.0 - inner / norm) > sigma2 * math.sqrt(n / m)

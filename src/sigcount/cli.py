@@ -30,7 +30,7 @@ from .core import (
     ScenarioSpec,
     validate_spectrum,
 )
-from .covariance import hermitian_eigenvalues, sample_covariance
+from .covariance import snapshot_spectrum
 from .estimators import ESTIMATORS
 from .montecarlo import ExperimentPlan, run_clt_check, run_experiment
 from .snapshots import SnapshotMatrix
@@ -185,11 +185,7 @@ def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
 def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
     loaded = load_input_file(args.input)
     estimators = _parse_estimators(args.estimators)
-    if isinstance(loaded, SnapshotMatrix):
-        eigs = hermitian_eigenvalues(sample_covariance(loaded))
-        spectrum = validate_spectrum(eigs, loaded.n, loaded.m, loaded.beta)
-    else:
-        spectrum = loaded
+    spectrum = snapshot_spectrum(loaded) if isinstance(loaded, SnapshotMatrix) else loaded
     results = [ESTIMATORS[est](spectrum) for est in estimators]
     writer = csv.writer(out, lineterminator="\n")
     header = ["estimator_id", "k_hat"]

@@ -1,4 +1,13 @@
-"""Sample covariance construction and Hermitian eigenvalue extraction."""
+"""From snapshots to a validated sample spectrum.
+
+`snapshot_spectrum` is the one route: it returns the eigenvalues of the
+sample covariance (1/m) X X' as a `SampleSpectrum`. When m >= n it forms the
+n x n covariance. When m < n that matrix has rank at most m, so it solves the
+m x m Gram matrix (1/m) X' X instead, whose eigenvalues are the nonzero ones,
+and appends the other n - m as exact zeros. Both routes run the same
+LAPACK-failure and trace-residual checks in `hermitian_eigenvalues`, and both
+raise `NonFiniteInput` when the snapshots or their product are not finite.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceFailure
+from .core import ConvergenceFailure, NonFiniteInput, SampleSpectrum, validate_spectrum
 from .snapshots import SnapshotMatrix
 
-__all__ = ["HermitianMatrix", "sample_covariance", "hermitian_eigenvalues"]
+__all__ = ["HermitianMatrix", "sample_covariance", "hermitian_eigenvalues", "snapshot_spectrum"]
 
 #: Relative Frobenius tolerance for accepting a matrix as self-adjoint.
 HERMITIAN_RTOL = 1e-12
@@ -20,7 +29,7 @@ TRACE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Self-adjoint matrix wrapper; rejects input that is not Hermitian."""
+    """Self-adjoint matrix wrapper; rejects input that is not Hermitian or not finite."""
 
     entries: np.ndarray
 
@@ -28,6 +37,10 @@ class HermitianMatrix:
         a = np.array(self.entries, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        # Checked first: with an inf entry the asymmetry below is NaN, and
+        # NaN > tol is False.
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteInput("matrix entries must be finite")
         norm = np.linalg.norm(a)
         skew = np.linalg.norm(a - a.conj().T)
         if skew > HERMITIAN_RTOL * max(norm, 1e-300):
@@ -47,10 +60,16 @@ def sample_covariance(snapshots: SnapshotMatrix) -> HermitianMatrix:
 
     Symmetry is forced exactly by averaging with the adjoint, so downstream
     checks never see round-off asymmetry.
+
+    Raises:
+        NonFiniteInput: the snapshots hold NaN or infinity, or their product
+            overflows the float range.
     """
     x = snapshots.data
-    r = (x @ x.conj().T) / snapshots.m
-    r = (r + r.conj().T) / 2.0
+    # Overflow shows up as inf entries, which HermitianMatrix rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (x @ x.conj().T) / snapshots.m
+        r = (r + r.conj().T) / 2.0
     return HermitianMatrix(entries=r)
 
 
@@ -76,3 +95,26 @@ def hermitian_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
             f"eigenvalue sum off trace by {residual:.3e} (trace {trace:.6e})"
         )
     return eigs[::-1].copy()
+
+
+def snapshot_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
+    """Validated eigenvalues of the sample covariance (1/m) X X'.
+
+    With m >= n this is exactly ``validate_spectrum(hermitian_eigenvalues(
+    sample_covariance(snapshots)), n, m, beta)``. With m < n it solves the
+    m x m Gram matrix (1/m) X' X, which has the same nonzero eigenvalues and
+    the same trace, and pads with n - m exact zeros.
+
+    Raises:
+        NonFiniteInput: the snapshots or their product are not finite.
+        ConvergenceFailure: as raised by `hermitian_eigenvalues`.
+    """
+    n, m = snapshots.n, snapshots.m
+    if m >= n:
+        eigs = hermitian_eigenvalues(sample_covariance(snapshots))
+    else:
+        x = snapshots.data
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = (x.conj().T @ x) / m
+        eigs = np.concatenate([hermitian_eigenvalues(HermitianMatrix(gram)), np.zeros(n - m)])
+    return validate_spectrum(eigs, n, m, snapshots.beta)

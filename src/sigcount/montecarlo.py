@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import clt_statistics, q_matrix
-from .core import ConvergenceFailure, EstimatorId, ScenarioSpec, validate_spectrum
-from .covariance import hermitian_eigenvalues, sample_covariance
+from .core import ConvergenceFailure, EstimatorId, ScenarioSpec
+from .covariance import snapshot_spectrum
 from .estimators import ESTIMATORS
 from .snapshots import SeedPolicy, generate_snapshots
 
@@ -99,14 +99,13 @@ def _tally_trials(
     for trial in range(first_index, first_index + count):
         try:
             # Nested so the snapshots are freed before the next trial draws its own.
-            eigs = hermitian_eigenvalues(
-                sample_covariance(generate_snapshots(scenario, SeedPolicy(master_seed, trial)))
+            spectrum = snapshot_spectrum(
+                generate_snapshots(scenario, SeedPolicy(master_seed, trial))
             )
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"n={scenario.n}, m={scenario.m}, trial={trial}: {exc}"
             ) from exc
-        spectrum = validate_spectrum(eigs, scenario.n, scenario.m, scenario.beta)
         for est in estimators:
             tallies[est][ESTIMATORS[est](spectrum).k_hat] += 1
     return tallies
@@ -215,8 +214,7 @@ def run_clt_check(n: int, m: int, beta: int, trials: int, master_seed: int) -> C
     samples = np.empty((trials, 2))
     for trial in range(trials):
         snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
-        eigs = hermitian_eigenvalues(sample_covariance(snapshots))
-        samples[trial] = clt_statistics(validate_spectrum(eigs, n, m, beta))
+        samples[trial] = clt_statistics(snapshot_spectrum(snapshots))
     q = q_matrix(n / m, beta)
     return CltCheckReport(
         n=n, m=m, beta=beta, trials=trials,

@@ -1,8 +1,10 @@
-"""Slow per-k reference implementation of the three estimators.
+"""Slow reference implementations that the property tests hold the library to.
 
-Each candidate k gets a fresh slice of the spectrum and its own moments, in
-the spectrum's own units. The library computes the same criteria for every k
-at once from suffix sums; the property tests hold it to this reference.
+`reference_spectrum` always solves the full n x n sample covariance, where
+the library solves the m x m Gram matrix when m < n. The per-k estimator
+criteria give each candidate k a fresh slice of the spectrum and its own
+moments, in the spectrum's own units, where the library computes every k at
+once from suffix sums.
 """
 
 import math
@@ -10,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sigcount import SampleSpectrum
+from sigcount import SampleSpectrum, SnapshotMatrix, validate_spectrum
+
+
+def reference_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
+    """Eigenvalues of the full n x n matrix X X' / m, whatever m is."""
+    x = snapshots.data
+    eigs = np.linalg.eigvalsh(x @ x.conj().T / snapshots.m)
+    return validate_spectrum(eigs, snapshots.n, snapshots.m, snapshots.beta)
 
 
 @dataclass(frozen=True)

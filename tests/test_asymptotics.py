@@ -21,6 +21,43 @@ from sigcount import (
 )
 
 
+def _domain_table():
+    """Bad inputs for every closed-form formula, one pytest.param each.
+
+    The three formulas of (sigma2, c) get each bad (sigma2, c) pair. The
+    others get a valid call with each float argument made NaN, then
+    infinite, in turn.
+    """
+    sigma2_c = {
+        "detection_threshold": detection_threshold,
+        "bulk_edge": bulk_edge,
+        "spiked_limit": lambda sigma2, c: spiked_limit(10.0, sigma2, c),
+    }
+    bad_pairs = [
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    ]
+    valid_calls = {
+        "q_matrix": (q_matrix, (1.0,)),
+        "identifiability_check": (identifiability_check, (1.0, 1.0, 0.0, 1.0, 4, 8)),
+        "two_source_eigenvalues": (two_source_eigenvalues, (1.0, 1.0, 1.0, 1.0, 0.0, 1.0)),
+    }
+    table = [
+        pytest.param(formula, pair, id=f"{pair[0]}-{pair[1]}-{name}")
+        for name, formula in sigma2_c.items() for pair in bad_pairs
+    ]
+    for name, (formula, valid) in valid_calls.items():
+        for i, value in enumerate(valid):
+            if isinstance(value, float):
+                for bad in (math.nan, math.inf):
+                    args = valid[:i] + (bad,) + valid[i + 1:]
+                    table.append(pytest.param(formula, args, id=f"{name}-arg{i}-{bad}"))
+    return table
+
+
+DOMAIN_TABLE = _domain_table()
+
+
 class TestQMatrix:
     def test_real_case_c_one(self):
         np.testing.assert_allclose(q_matrix(1.0, beta=1), [[2.0, 8.0], [8.0, 36.0]])
@@ -85,18 +122,10 @@ class TestThresholds:
         assert bulk_edge(1.0, 4.0) == 9.0
         assert bulk_edge(2.0, 0.25) == 4.5
 
-    @pytest.mark.parametrize("formula", [
-        detection_threshold,
-        bulk_edge,
-        lambda sigma2, c: spiked_limit(10.0, sigma2, c),
-    ], ids=["detection_threshold", "bulk_edge", "spiked_limit"])
-    @pytest.mark.parametrize("sigma2,c", [
-        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
-        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
-    ])
-    def test_domain_is_finite_positive(self, formula, sigma2, c):
+    @pytest.mark.parametrize("formula,args", DOMAIN_TABLE)
+    def test_domain_is_finite_positive(self, formula, args):
         with pytest.raises(DomainError):
-            formula(sigma2, c)
+            formula(*args)
 
     @pytest.mark.parametrize("lambda_j", [math.nan, math.inf])
     def test_spiked_limit_rejects_nonfinite_eigenvalue(self, lambda_j):

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sigcount import (
     ConvergenceFailure,
     HermitianMatrix,
+    NonFiniteInput,
     ScenarioSpec,
     SeedPolicy,
+    SnapshotMatrix,
     generate_snapshots,
     hermitian_eigenvalues,
     sample_covariance,
+    snapshot_spectrum,
     validate_spectrum,
 )
 
@@ -67,6 +75,11 @@ class TestHermitianMatrix:
     def test_accepts_hermitian_complex(self):
         a = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
         assert HermitianMatrix(a).order == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteInput):
+            HermitianMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_entries_readonly(self):
         h = HermitianMatrix(np.eye(2))
@@ -141,3 +154,52 @@ class TestHermitianEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", wrong)
         with pytest.raises(ConvergenceFailure):
             hermitian_eigenvalues(HermitianMatrix(np.eye(3)))
+
+
+def seeded_snapshots(n, m, beta=1, seed=0, signals=()):
+    return generate_snapshots(ScenarioSpec(tuple(signals), 1.0, n, m, beta=beta), SeedPolicy(seed))
+
+
+@st.composite
+def snapshot_matrices(draw):
+    """Seeded snapshots with m < n, m = n and m = 1, real and complex."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, 2 * n)))
+    beta = draw(st.sampled_from([1, 2]))
+    signals = draw(st.lists(st.floats(1.5, 100.0), max_size=min(3, n - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return seeded_snapshots(n, m, beta, seed, sorted(signals, reverse=True))
+
+
+class TestSnapshotSpectrum:
+    @settings(max_examples=150, deadline=None)
+    @given(snapshots=snapshot_matrices())
+    @example(snapshots=seeded_snapshots(24, 1, beta=1))
+    @example(snapshots=seeded_snapshots(24, 1, beta=2))
+    @example(snapshots=seeded_snapshots(12, 12, beta=2, signals=(5.0,)))
+    @example(snapshots=seeded_snapshots(24, 8, beta=1, signals=(10.0, 3.0)))
+    def test_matches_full_covariance_oracle(self, snapshots):
+        n, m = snapshots.n, snapshots.m
+        got = snapshot_spectrum(snapshots)
+        want = oracle.reference_spectrum(snapshots)
+        assert (got.n, got.m, got.beta) == (want.n, want.m, want.beta)
+        np.testing.assert_allclose(
+            got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-10 * want.eigenvalues[0]
+        )
+        if m < n:
+            # Gaussian snapshots have full rank m.
+            assert np.count_nonzero(got.eigenvalues == 0.0) == n - m
+        else:
+            chain = validate_spectrum(
+                hermitian_eigenvalues(sample_covariance(snapshots)), n, m, snapshots.beta
+            )
+            np.testing.assert_array_equal(got.eigenvalues, chain.eigenvalues)
+
+    @pytest.mark.parametrize("n,m", [(4, 8), (8, 4)], ids=["covariance", "gram"])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_overflow_raises_non_finite(self, n, m, beta):
+        # Finite snapshots whose product overflows: an error, and no numpy
+        # RuntimeWarning (the suite turns those into errors).
+        huge = SnapshotMatrix(seeded_snapshots(n, m, beta).data * 1e160, n, m, beta)
+        with pytest.raises(NonFiniteInput):
+            snapshot_spectrum(huge)

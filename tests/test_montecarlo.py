@@ -102,7 +102,7 @@ class TestRunExperiment:
         assert long[:2] == short
 
     def test_worker_count_does_not_change_results(self):
-        plan = small_plan(trials=9)
+        plan = small_plan(grid=((16, 32), (12, 24), (24, 8)), trials=9)
         serial = run_experiment(plan, workers=1)
         parallel = run_experiment(plan, workers=2)
         assert serial == parallel
@@ -115,9 +115,9 @@ class TestRunExperiment:
         def boom(_):
             raise ConvergenceFailure("deliberate failure")
 
-        monkeypatch.setattr("sigcount.montecarlo.hermitian_eigenvalues", boom)
+        monkeypatch.setattr("sigcount.covariance.hermitian_eigenvalues", boom)
         with pytest.raises(ConvergenceFailure, match=r"n=16, m=32, trial=0.*deliberate"):
-            run_experiment(small_plan())
+            run_experiment(small_plan(grid=((16, 32), (24, 8))))
 
     def test_easy_scenario_detected_every_trial(self):
         plan = ExperimentPlan(
