@@ -32,7 +32,7 @@ from .core import (
 )
 from .covariance import snapshot_spectrum
 from .estimators import ESTIMATORS
-from .montecarlo import ExperimentPlan, run_clt_check, run_experiment
+from .montecarlo import ExperimentPlan, detection_probability, run_clt_check, run_experiment
 from .snapshots import SnapshotMatrix
 
 __all__ = [
@@ -220,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     writer.writerow(["n", "m", "estimator", "k", "probability", "stderr"])
     for summary in run_experiment(plan, workers=args.workers):
         for k in range(min(summary.n, summary.m)):
-            p = summary.counts.get(k, 0) / summary.trials
+            p = detection_probability(summary, k)
             se = math.sqrt(p * (1.0 - p) / summary.trials)
             writer.writerow(
                 [summary.n, summary.m, summary.estimator_id.value, k, repr(p), repr(se)]

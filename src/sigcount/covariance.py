@@ -41,8 +41,12 @@ class HermitianMatrix:
         # NaN > tol is False.
         if not np.all(np.isfinite(a)):
             raise NonFiniteInput("matrix entries must be finite")
-        norm = np.linalg.norm(a)
-        skew = np.linalg.norm(a - a.conj().T)
+        # Scaled by the largest entry so that the squares in the norms cannot
+        # overflow; the floor keeps the reciprocal finite.
+        scaled = a * (1.0 / max(np.abs(a).max(initial=0.0), 1e-300))
+        norm = np.linalg.norm(scaled)
+        scaled -= scaled.conj().T
+        skew = np.linalg.norm(scaled)
         if skew > HERMITIAN_RTOL * max(norm, 1e-300):
             raise ValueError(
                 f"matrix is not self-adjoint: relative asymmetry {skew / max(norm, 1e-300):.3e}"

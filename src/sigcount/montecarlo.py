@@ -1,20 +1,23 @@
 """Seeded trial batteries over (n, m) grids with per-estimator tallies.
 
-Every trial draws its snapshots from a stream keyed by the plan's master
-seed and a global trial index (grid_point_index * trials + t), so results
-are reproducible regardless of worker count or execution order, and adding
-grid points never perturbs the streams of earlier points.
+Every trial runs through one loop, `_trial_spectra`, which draws its
+snapshots from a stream keyed by the master seed and a global trial index
+(grid_point_index * trials + t). `run_experiment` splits each grid point's
+trials into chunks and adds their ``np.bincount`` tallies, so results are
+identical for any worker count or execution order, and adding grid points
+never perturbs the streams of earlier points.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .asymptotics import clt_statistics, q_matrix
-from .core import ConvergenceFailure, EstimatorId, ScenarioSpec
+from .core import ConvergenceFailure, EstimatorId, SampleSpectrum, ScenarioSpec
 from .covariance import snapshot_spectrum
 from .estimators import ESTIMATORS
 from .snapshots import SeedPolicy, generate_snapshots
@@ -88,27 +91,35 @@ def detection_probability(summary: TrialSummary, target_k: int) -> float:
     return summary.counts.get(target_k, 0) / summary.trials
 
 
-def _tally_trials(
-    scenario: ScenarioSpec,
-    estimators: tuple[EstimatorId, ...],
-    master_seed: int,
-    first_index: int,
-    count: int,
-) -> dict[EstimatorId, Counter]:
-    tallies: dict[EstimatorId, Counter] = {est: Counter() for est in estimators}
-    for trial in range(first_index, first_index + count):
+def _trial_spectra(
+    scenario: ScenarioSpec, master_seed: int, first: int, count: int
+) -> Iterator[SampleSpectrum]:
+    """Spectra of trials [first, first + count); a ConvergenceFailure names its trial."""
+    for trial in range(first, first + count):
         try:
-            # Nested so the snapshots are freed before the next trial draws its own.
-            spectrum = snapshot_spectrum(
-                generate_snapshots(scenario, SeedPolicy(master_seed, trial))
-            )
+            # Kept alive until the next trial draws its own: freed earlier, they
+            # let the allocator return the heap top and fault it back in on
+            # every clt-check trial.
+            snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
+            spectrum = snapshot_spectrum(snapshots)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"n={scenario.n}, m={scenario.m}, trial={trial}: {exc}"
             ) from exc
-        for est in estimators:
-            tallies[est][ESTIMATORS[est](spectrum).k_hat] += 1
-    return tallies
+        yield spectrum
+
+
+def _tally_trials(plan: ExperimentPlan, point: int, first: int, count: int) -> np.ndarray:
+    """One ``np.bincount`` row of k-hat per estimator over trials [first, first + count).
+
+    Rows have length min(n, m), so the tallies of any split of the trials add up.
+    """
+    n, m = plan.grid[point]
+    k_hats = [
+        [ESTIMATORS[est](spectrum).k_hat for est in plan.estimators]
+        for spectrum in _trial_spectra(plan.scenario_at(n, m), plan.master_seed, first, count)
+    ]
+    return np.stack([np.bincount(column, minlength=min(n, m)) for column in zip(*k_hats)])
 
 
 def _chunks(start: int, total: int, pieces: int) -> list[tuple[int, int]]:
@@ -125,55 +136,38 @@ def _chunks(start: int, total: int, pieces: int) -> list[tuple[int, int]]:
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[TrialSummary]:
     """Run the full battery and aggregate k-hat tallies.
 
-    Trials are independent; with ``workers`` > 1 they are split across
-    processes and the per-chunk tallies merged by commutative addition, so
-    the output is identical for any worker count.
+    Each grid point's trials run in ``workers`` chunks, in this process or
+    in a process pool; adding the chunk tallies makes the output identical
+    for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    per_point: list[dict[EstimatorId, Counter]] = []
+    jobs = [
+        (g, first, count)
+        for g in range(len(plan.grid))
+        for first, count in _chunks(g * plan.trials, plan.trials, workers)
+    ]
+    args = (repeat(plan), *zip(*jobs))
     if workers == 1:
-        for g, (n, m) in enumerate(plan.grid):
-            per_point.append(
-                _tally_trials(
-                    plan.scenario_at(n, m), plan.estimators, plan.master_seed,
-                    g * plan.trials, plan.trials,
-                )
-            )
+        tallies = list(map(_tally_trials, *args))
     else:
         # Imported here: serial runs never need the process-pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for g, (n, m) in enumerate(plan.grid):
-                scenario = plan.scenario_at(n, m)
-                futures.append(
-                    [
-                        pool.submit(
-                            _tally_trials, scenario, plan.estimators,
-                            plan.master_seed, first, count,
-                        )
-                        for first, count in _chunks(g * plan.trials, plan.trials, workers)
-                    ]
-                )
-            for point_futures in futures:
-                merged: dict[EstimatorId, Counter] = {est: Counter() for est in plan.estimators}
-                for fut in point_futures:
-                    for est, tally in fut.result().items():
-                        merged[est] += tally
-                per_point.append(merged)
-
-    summaries = []
-    for (n, m), tallies in zip(plan.grid, per_point):
-        for est in plan.estimators:
-            summaries.append(
-                TrialSummary(
-                    n=n, m=m, estimator_id=est,
-                    counts=dict(sorted(tallies[est].items())), trials=plan.trials,
-                )
-            )
-    return summaries
+            tallies = list(pool.map(_tally_trials, *args))
+    totals = [
+        sum(tally for (g, _, _), tally in zip(jobs, tallies) if g == point)
+        for point in range(len(plan.grid))
+    ]
+    return [
+        TrialSummary(
+            n=n, m=m, estimator_id=est,
+            counts={k: int(c) for k, c in enumerate(row) if c}, trials=plan.trials,
+        )
+        for (n, m), total in zip(plan.grid, totals)
+        for est, row in zip(plan.estimators, total)
+    ]
 
 
 @dataclass(frozen=True)
@@ -211,10 +205,10 @@ class CltCheckReport:
 def run_clt_check(n: int, m: int, beta: int, trials: int, master_seed: int) -> CltCheckReport:
     """Simulate signal-free trials and compare the centered moment pair to theory."""
     scenario = ScenarioSpec((), 1.0, n, m, beta)
-    samples = np.empty((trials, 2))
-    for trial in range(trials):
-        snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
-        samples[trial] = clt_statistics(snapshot_spectrum(snapshots))
+    samples = np.reshape(
+        [clt_statistics(spectrum) for spectrum in _trial_spectra(scenario, master_seed, 0, trials)],
+        (trials, 2),
+    )
     q = q_matrix(n / m, beta)
     return CltCheckReport(
         n=n, m=m, beta=beta, trials=trials,

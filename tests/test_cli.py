@@ -287,6 +287,15 @@ class TestSimulateCommand:
         )
         assert code == 3
 
+    def test_huge_noise_variance_runs_clean(self, capsys):
+        # The covariance entries (~1e200) are finite, but their squares are not.
+        code, out, err = run_cli(
+            capsys, "simulate", "--grid", "4:8", "--sigma2", "1e200", "--trials", "2"
+        )
+        assert code == 0
+        assert out.startswith("n,m,estimator,")
+        assert err == ""
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--seed", "-1"), ("--seed", str(2**64)), ("--workers", "0")],

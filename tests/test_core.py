@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigcount import (
+    CLAMP_RTOL,
     DetectionResult,
     EstimatorId,
     NegativeEigenvalue,
@@ -141,6 +144,25 @@ class TestValidateSpectrum:
         spectrum = validate_spectrum([4.0], 1, 3)
         assert spectrum.n == 1
         assert spectrum.eigenvalues[0] == 4.0
+
+    @given(
+        top=st.sampled_from([1.0, 0.0]),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]),
+        data=st.data(),
+    )
+    def test_permutation_invariant(self, top, scale, data):
+        # Entries at most the top one: a bulk, exact zeros and round-off
+        # negatives within CLAMP_RTOL of it, all scaled together.
+        rest = data.draw(st.lists(st.one_of(
+            st.floats(0.0, top),
+            st.just(0.0),
+            st.floats(-CLAMP_RTOL * top, 0.0),
+        ), max_size=30))
+        eigs = np.array([top, *rest]) * scale
+        permuted = np.array(data.draw(st.permutations(eigs.tolist())))
+        expected = validate_spectrum(eigs, eigs.size, 10).eigenvalues
+        got = validate_spectrum(permuted, eigs.size, 10).eigenvalues
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestDetectionResult:

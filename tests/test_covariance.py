@@ -81,6 +81,13 @@ class TestHermitianMatrix:
         with pytest.raises(NonFiniteInput):
             HermitianMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
+    def test_accepts_symmetric_entries_whose_squares_overflow(self):
+        assert HermitianMatrix(np.array([[1e200, 5e199], [5e199, 1e200]])).order == 2
+
+    def test_rejects_asymmetric_entries_whose_squares_overflow(self):
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            HermitianMatrix(np.array([[1e200, 5e199], [0.0, 1e200]]))
+
     def test_entries_readonly(self):
         h = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):

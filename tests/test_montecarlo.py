@@ -111,13 +111,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_plan(), workers=0)
 
-    def test_convergence_failure_carries_trial_context(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run,context",
+        [
+            (lambda: run_experiment(small_plan(grid=((16, 32), (24, 8)))), "n=16, m=32"),
+            (lambda: run_clt_check(10, 20, 1, trials=4, master_seed=3), "n=10, m=20"),
+        ],
+        ids=["run_experiment", "run_clt_check"],
+    )
+    def test_convergence_failure_carries_trial_context(self, monkeypatch, run, context):
         def boom(_):
             raise ConvergenceFailure("deliberate failure")
 
         monkeypatch.setattr("sigcount.covariance.hermitian_eigenvalues", boom)
-        with pytest.raises(ConvergenceFailure, match=r"n=16, m=32, trial=0.*deliberate"):
-            run_experiment(small_plan(grid=((16, 32), (24, 8))))
+        with pytest.raises(ConvergenceFailure, match=rf"{context}, trial=0.*deliberate"):
+            run()
 
     def test_easy_scenario_detected_every_trial(self):
         plan = ExperimentPlan(
