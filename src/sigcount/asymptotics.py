@@ -17,11 +17,9 @@ import numpy as np
 from .core import DomainError, SampleSpectrum, ScenarioSpec, VALID_BETAS
 
 __all__ = [
-    "MomentCLT",
     "SpikedPrediction",
     "q_matrix",
     "clt_statistics",
-    "moment_clt",
     "spiked_limit",
     "detection_threshold",
     "bulk_edge",
@@ -44,51 +42,15 @@ def q_matrix(c: float, beta: int = 1) -> np.ndarray:
     return (2.0 / beta) * np.array([[c, off], [off, 2.0 * c * (2.0 * c**2 + 5.0 * c + 2.0)]])
 
 
-@dataclass(frozen=True)
-class MomentCLT:
-    """Gaussian limit of the first two spectral moments of a noise-only SCM.
-
-    ``centering`` holds what is subtracted from (sum l_i, sum l_i^2); the
-    centered pair converges to a zero-mean Gaussian with covariance
-    ``covariance``.
-    """
-
-    n: int
-    m: int
-    beta: int
-
-    @property
-    def c(self) -> float:
-        return self.n / self.m
-
-    @property
-    def centering(self) -> tuple[float, float]:
-        c = self.c
-        return (float(self.n), self.n * (1.0 + c) + (2.0 / self.beta - 1.0) * c)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return q_matrix(self.c, self.beta)
-
-
-def moment_clt(n: int, m: int, beta: int = 1) -> MomentCLT:
-    """Bundle the CLT centering and covariance for an (n, m, beta) setting."""
-    if n < 1 or m < 1:
-        raise DomainError(f"n and m must be positive, got n={n}, m={m}")
-    if beta not in VALID_BETAS:
-        raise DomainError(f"beta must be one of {VALID_BETAS}, got {beta}")
-    return MomentCLT(n=n, m=m, beta=beta)
-
-
 def clt_statistics(spectrum: SampleSpectrum) -> tuple[float, float]:
     """Centered moment pair (sum l_i - n, sum l_i^2 - n(1+c) - (2/beta - 1)c).
 
     For a noise-only unit-variance spectrum this pair is asymptotically
     N(0, Q) with Q from :func:`q_matrix` at c = n/m.
     """
-    eigs = spectrum.eigenvalues
-    first, second = moment_clt(spectrum.n, spectrum.m, spectrum.beta).centering
-    return (float(eigs.sum()) - first, float((eigs * eigs).sum()) - second)
+    eigs, n, c = spectrum.eigenvalues, spectrum.n, spectrum.n / spectrum.m
+    second = n * (1.0 + c) + (2.0 / spectrum.beta - 1.0) * c
+    return (float(eigs.sum()) - float(n), float((eigs * eigs).sum()) - second)
 
 
 def _check_positive(**values: float) -> None:

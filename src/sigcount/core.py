@@ -1,4 +1,9 @@
-"""Shared domain types: scenarios, sample spectra, detection results."""
+"""Shared domain types: scenarios, sample spectra, detection results.
+
+`SampleSpectrum` is the one place a spectrum is checked. `validate_spectrum`
+only repairs raw eigensolver output (sorts it and snaps round-off to exact
+zeros) and leaves every check to the `SampleSpectrum` it constructs.
+"""
 
 from __future__ import annotations
 
@@ -123,8 +128,17 @@ class ScenarioSpec:
 class SampleSpectrum:
     """Descending eigenvalues of a sample covariance matrix.
 
-    Construct through :func:`validate_spectrum`, which sorts and clamps
-    round-off; direct construction checks but does not repair.
+    Construction is the one check of a spectrum and repairs nothing: it
+    rejects a length other than n, n or m below 1, an unsupported beta, and
+    eigenvalues that are not finite, are negative or are not sorted
+    non-increasing. Build one from raw eigensolver output with
+    :func:`validate_spectrum`, which sorts and clamps round-off first.
+
+    Raises:
+        ValueError: wrong length, n or m below 1, or unsorted eigenvalues.
+        UnsupportedField: beta is not in ``VALID_BETAS``.
+        NonFiniteInput: an eigenvalue is NaN or infinite.
+        NegativeEigenvalue: an eigenvalue is negative.
     """
 
     eigenvalues: np.ndarray
@@ -140,13 +154,15 @@ class SampleSpectrum:
             raise ValueError(f"expected {self.n} eigenvalues, got shape {eigs.shape}")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        _check_beta(self.beta)
         if not np.all(np.isfinite(eigs)):
-            raise NonFiniteInput("eigenvalues must be finite")
+            raise NonFiniteInput("eigenvalues contain NaN or infinity")
         if np.any(eigs < 0):
-            raise NegativeEigenvalue("eigenvalues must be non-negative")
+            raise NegativeEigenvalue(
+                f"eigenvalue {eigs.min()} is negative; input covariance is not PSD"
+            )
         if np.any(np.diff(eigs) > 0):
             raise ValueError("eigenvalues must be sorted non-increasing")
-        _check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -157,18 +173,15 @@ class DetectionResult:
     criterion_values: tuple[tuple[int, float], ...]
     estimator_id: EstimatorId
 
-    def criterion(self, k: int) -> float:
-        for kk, value in self.criterion_values:
-            if kk == k:
-                return value
-        raise KeyError(f"k={k} outside the searched range")
-
 
 def validate_spectrum(eigs, n: int, m: int, beta: int = 1) -> SampleSpectrum:
     """Build a SampleSpectrum from raw eigensolver output.
 
-    Sorts descending and snaps round-off noise to exact zeros so that the
-    zero modes of a rank-deficient covariance come out as true zeros.
+    Repairs only: flattens, sorts descending and snaps every entry within
+    ``CLAMP_RTOL`` of the largest eigenvalue to exact zero, so that the zero
+    modes of a rank-deficient covariance come out as true zeros. The checks
+    are `SampleSpectrum`'s, so a negative entry beyond that tolerance raises
+    `NegativeEigenvalue` there.
 
     Args:
         eigs: n eigenvalues in any order.
@@ -177,25 +190,11 @@ def validate_spectrum(eigs, n: int, m: int, beta: int = 1) -> SampleSpectrum:
         beta: field indicator in {1, 2, 4}.
 
     Raises:
-        NonFiniteInput: any entry is NaN or infinite.
-        NegativeEigenvalue: an entry is more negative than round-off
-            (magnitude above ``CLAMP_RTOL`` times the largest eigenvalue).
+        ValueError, UnsupportedField, NonFiniteInput, NegativeEigenvalue: as
+            raised by `SampleSpectrum` for the repaired eigenvalues.
     """
-    arr = np.asarray(eigs, dtype=float).reshape(-1)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if arr.size != n:
-        raise ValueError(f"expected {n} eigenvalues, got {arr.size}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    _check_beta(beta)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("eigenvalues contain NaN or infinity")
-    arr = np.sort(arr)[::-1].copy()
-    tol = CLAMP_RTOL * max(arr[0], 0.0)
-    if arr[-1] < -tol:
-        raise NegativeEigenvalue(
-            f"eigenvalue {arr[-1]} below -{tol:g}; input covariance is not PSD"
-        )
-    arr[np.abs(arr) <= tol] = 0.0
-    return SampleSpectrum(eigenvalues=arr, n=n, m=m, beta=beta)
+    arr = np.sort(np.asarray(eigs, dtype=float).reshape(-1))[::-1]
+    # NaN sorts first and +inf next; neither may set the tolerance.
+    top = arr[0] if arr.size and np.isfinite(arr[0]) else 0.0
+    tol = CLAMP_RTOL * max(top, 0.0)
+    return SampleSpectrum(np.where(np.abs(arr) <= tol, 0.0, arr), n, m, beta)

@@ -54,10 +54,6 @@ class HermitianMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
 
 def sample_covariance(snapshots: SnapshotMatrix) -> HermitianMatrix:
     """(1/m) X X' with X the snapshot matrix and ' the conjugate transpose.

@@ -31,9 +31,6 @@ __all__ = [
     "run_clt_check",
 ]
 
-ALL_ESTIMATORS = (EstimatorId.NEW_RMT_AIC, EstimatorId.WK_AIC, EstimatorId.WK_MDL)
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A grid of (n, m) points, each run for `trials` seeded trials.
@@ -46,7 +43,7 @@ class ExperimentPlan:
     grid: tuple[tuple[int, int], ...]
     trials: int
     master_seed: int
-    estimators: tuple[EstimatorId, ...] = ALL_ESTIMATORS
+    estimators: tuple[EstimatorId, ...] = tuple(ESTIMATORS)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", tuple((int(n), int(m)) for n, m in self.grid))
@@ -203,7 +200,14 @@ class CltCheckReport:
 
 
 def run_clt_check(n: int, m: int, beta: int, trials: int, master_seed: int) -> CltCheckReport:
-    """Simulate signal-free trials and compare the centered moment pair to theory."""
+    """Simulate signal-free trials and compare the centered moment pair to theory.
+
+    Raises:
+        ValueError: trials < 2, which leaves the empirical covariance
+            undefined, or an (n, m, beta) that `ScenarioSpec` rejects.
+    """
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     scenario = ScenarioSpec((), 1.0, n, m, beta)
     samples = np.reshape(
         [clt_statistics(spectrum) for spectrum in _trial_spectra(scenario, master_seed, 0, trials)],

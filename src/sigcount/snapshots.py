@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ScenarioSpec, UnsupportedField
 
-__all__ = ["SeedPolicy", "SnapshotMatrix", "standard_gaussian_stream", "generate_snapshots"]
+__all__ = ["SeedPolicy", "SnapshotMatrix", "generate_snapshots"]
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,6 @@ class SnapshotMatrix:
             raise ValueError("beta=2 snapshots must be complex-valued")
         if self.beta not in (1, 2):
             raise UnsupportedField(f"snapshot matrices exist only for beta in (1, 2), got {self.beta}")
-
-
-def standard_gaussian_stream(seed: SeedPolicy, count: int) -> np.ndarray:
-    """`count` i.i.d. N(0, 1) variates, reproducible from the seed policy."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return seed.rng().standard_normal(count)
 
 
 def generate_snapshots(spec: ScenarioSpec, seed: SeedPolicy) -> SnapshotMatrix:

@@ -7,6 +7,7 @@ from helpers import spectrum_from
 from sigcount import (
     DomainError,
     HermitianMatrix,
+    SampleSpectrum,
     ScenarioSpec,
     bulk_edge,
     clt_statistics,
@@ -14,7 +15,6 @@ from sigcount import (
     effective_num_signals,
     hermitian_eigenvalues,
     identifiability_check,
-    moment_clt,
     q_matrix,
     spiked_limit,
     two_source_eigenvalues,
@@ -89,23 +89,14 @@ class TestQMatrix:
 
 class TestMomentClt:
     def test_real_centering(self):
-        clt = moment_clt(100, 200, beta=1)
-        assert clt.centering == (100.0, 100 * 1.5 + 0.5)
-        assert clt.c == 0.5
+        # All-zero 100:200 spectrum: the statistics are minus the centerings
+        # n = 100 and n (1 + c) + (2/beta - 1) c = 150.5 at c = 0.5.
+        stats = clt_statistics(SampleSpectrum(np.zeros(100), 100, 200, beta=1))
+        assert stats == (-100.0, -(100 * 1.5 + 0.5))
 
     def test_complex_centering_drops_correction(self):
-        clt = moment_clt(100, 200, beta=2)
-        assert clt.centering == (100.0, 150.0)
-
-    def test_covariance_is_q_matrix(self):
-        clt = moment_clt(50, 100, beta=2)
-        np.testing.assert_array_equal(clt.covariance, q_matrix(0.5, beta=2))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            moment_clt(0, 10)
-        with pytest.raises(DomainError):
-            moment_clt(10, 10, beta=7)
+        stats = clt_statistics(SampleSpectrum(np.zeros(100), 100, 200, beta=2))
+        assert stats == (-100.0, -150.0)
 
     def test_clt_statistics_hand_case(self):
         # sum = 4, sum of squares = 6; centerings are 3 and 3*1.5 + 0.5 = 5.

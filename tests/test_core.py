@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sigcount import (
     CLAMP_RTOL,
-    DetectionResult,
     EstimatorId,
     NegativeEigenvalue,
     NonFiniteInput,
@@ -108,7 +107,30 @@ class TestSampleSpectrum:
             SampleSpectrum(np.array([1.0]), 1, 10, beta=5)
 
 
+# Malformed spectra and the exception both validate_spectrum and a direct
+# SampleSpectrum raise for them: (eigenvalues, n, m, beta, exception).
+MALFORMED = [
+    pytest.param([1.0, 2.0], 3, 10, 1, ValueError, id="wrong_length"),
+    pytest.param([], 0, 10, 1, ValueError, id="empty_n0"),
+    pytest.param([1.0], 1, 0, 1, ValueError, id="m0"),
+    pytest.param([1.0], 1, 10, 5, UnsupportedField, id="beta5"),
+    pytest.param([math.nan, 1.0], 2, 10, 1, NonFiniteInput, id="nan_first"),
+    pytest.param([1.0, math.nan], 2, 10, 1, NonFiniteInput, id="nan_last"),
+    pytest.param([math.inf, 1.0], 2, 10, 1, NonFiniteInput, id="inf_first"),
+    pytest.param([1.0, math.inf], 2, 10, 1, NonFiniteInput, id="inf_last"),
+    pytest.param([1.0, -math.inf], 2, 10, 1, NonFiniteInput, id="minus_inf_last"),
+    pytest.param([5.0, -1e-3], 2, 10, 1, NegativeEigenvalue, id="negative_beyond_clamp"),
+]
+
+
 class TestValidateSpectrum:
+    @pytest.mark.parametrize("eigs,n,m,beta,exc", MALFORMED)
+    def test_rejects_as_sample_spectrum_does(self, eigs, n, m, beta, exc):
+        for build in (validate_spectrum, SampleSpectrum):
+            with pytest.raises(ValueError) as excinfo:
+                build(np.array(eigs, dtype=float), n, m, beta)
+            assert type(excinfo.value) is exc, build.__name__
+
     def test_sorts_descending(self):
         spectrum = validate_spectrum([1.0, 3.0, 2.0], 3, 10)
         np.testing.assert_array_equal(spectrum.eigenvalues, [3.0, 2.0, 1.0])
@@ -163,18 +185,6 @@ class TestValidateSpectrum:
         expected = validate_spectrum(eigs, eigs.size, 10).eigenvalues
         got = validate_spectrum(permuted, eigs.size, 10).eigenvalues
         assert got.tobytes() == expected.tobytes()
-
-
-class TestDetectionResult:
-    def test_criterion_lookup(self):
-        result = DetectionResult(
-            k_hat=1,
-            criterion_values=((0, 5.0), (1, 2.0), (2, 7.0)),
-            estimator_id=EstimatorId.WK_AIC,
-        )
-        assert result.criterion(1) == 2.0
-        with pytest.raises(KeyError):
-            result.criterion(3)
 
 
 def test_estimator_id_str_matches_value():

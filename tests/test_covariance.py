@@ -74,7 +74,7 @@ class TestHermitianMatrix:
 
     def test_accepts_hermitian_complex(self):
         a = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
-        assert HermitianMatrix(a).order == 2
+        assert HermitianMatrix(a).entries.shape[0] == 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
@@ -82,7 +82,7 @@ class TestHermitianMatrix:
             HermitianMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_accepts_symmetric_entries_whose_squares_overflow(self):
-        assert HermitianMatrix(np.array([[1e200, 5e199], [5e199, 1e200]])).order == 2
+        assert HermitianMatrix(np.array([[1e200, 5e199], [5e199, 1e200]])).entries.shape[0] == 2
 
     def test_rejects_asymmetric_entries_whose_squares_overflow(self):
         with pytest.raises(ValueError, match="not self-adjoint"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,18 @@ class TestRunExperiment:
 
 
 class TestCltCheck:
+    @pytest.mark.parametrize("trials", [0, 1, -1])
+    def test_needs_two_trials(self, monkeypatch, trials):
+        # Rejected before any trial is drawn, and without numpy warnings.
+        def no_draws(*args):
+            raise AssertionError("drew snapshots")
+
+        monkeypatch.setattr("sigcount.montecarlo.generate_snapshots", no_draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trials must be >= 2"):
+                run_clt_check(10, 20, 1, trials, 3)
+
     def test_report_shapes_and_predictions(self):
         report = run_clt_check(10, 20, 1, trials=32, master_seed=3)
         assert report.empirical_mean.shape == (2,)

@@ -7,7 +7,6 @@ from sigcount import (
     SnapshotMatrix,
     UnsupportedField,
     generate_snapshots,
-    standard_gaussian_stream,
 )
 
 
@@ -36,26 +35,6 @@ class TestSeedPolicy:
     def test_rejects_negative_trial_index(self):
         with pytest.raises(ValueError):
             SeedPolicy(1, -1)
-
-
-class TestGaussianStream:
-    def test_reproducible(self):
-        a = standard_gaussian_stream(SeedPolicy(5, 2), 100)
-        b = standard_gaussian_stream(SeedPolicy(5, 2), 100)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (100,)
-
-    def test_moments_are_standard(self):
-        x = standard_gaussian_stream(SeedPolicy(99, 0), 200_000)
-        assert abs(x.mean()) < 0.01
-        assert abs(x.var() - 1.0) < 0.02
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            standard_gaussian_stream(SeedPolicy(1), -1)
-
-    def test_zero_count(self):
-        assert standard_gaussian_stream(SeedPolicy(1), 0).size == 0
 
 
 class TestGenerateSnapshots:
