@@ -75,8 +75,13 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
         if "=" not in token:
             raise InputFormatError(1, f"malformed header field {token!r}")
         key, _, value = token.partition("=")
+        key = key.strip()
+        if key not in ("n", "m", "beta"):
+            raise InputFormatError(1, f"unknown header field {token!r}")
+        if key in fields:
+            raise InputFormatError(1, f"duplicate header field {token!r}")
         try:
-            fields[key.strip()] = int(value)
+            fields[key] = int(value)
         except ValueError:
             raise InputFormatError(1, f"non-integer header field {token!r}") from None
     missing = {"n", "m", "beta"} - fields.keys()
@@ -85,15 +90,36 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
     return kind, fields["n"], fields["m"], fields["beta"]
 
 
-def _parse_row(text: str, line_no: int) -> list[float]:
+def _parse_body(body: list[tuple[int, str]], width: int, expected: str) -> np.ndarray:
+    """Parse numbered body lines into a (len(body), width) array with one ``np.loadtxt``.
+
+    Only a bad body is parsed line by line, to name its first bad line.
+    """
+    if not body:  # loadtxt warns on empty input
+        return np.empty((0, width))
     try:
-        return [float(cell) for cell in text.split(",")]
+        data = np.loadtxt([text for _, text in body], delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == width:
+            return data
     except ValueError:
-        raise InputFormatError(line_no, f"could not parse {text.strip()!r} as numbers") from None
+        pass
+    for line_no, text in body:
+        try:
+            got = np.loadtxt([text], delimiter=",", comments=None, ndmin=1).size
+        except ValueError:
+            raise InputFormatError(line_no, f"could not parse {text.strip()!r} as numbers") from None
+        if got != width:
+            raise InputFormatError(line_no, f"expected {expected}, got {got}")
+    raise AssertionError("every line parses alone, so the whole body parses")
 
 
 def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     """Read an eigenvalue or snapshot file, auto-detected from the header.
+
+    The header gives ``n``, ``m`` and ``beta`` once each. A cell is a decimal
+    or scientific-notation number, ``inf`` or ``nan``, with optional whitespace
+    around it; blank lines are skipped. Digit-group underscores (``1_000``) and
+    non-ASCII digits are rejected.
 
     Raises InputFormatError for structural problems; validation errors from
     the domain constructors pass through unchanged.
@@ -106,30 +132,17 @@ def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     body = [(i + 1, line) for i, line in enumerate(lines) if i > 0 and line.strip()]
 
     if kind == "eigenvalues":
-        values = []
-        for line_no, line in body:
-            row = _parse_row(line, line_no)
-            if len(row) != 1:
-                raise InputFormatError(line_no, f"expected one value per line, got {len(row)}")
-            values.append(row[0])
+        values = _parse_body(body, 1, "one value per line")[:, 0]
         if len(values) != n:
-            raise InputFormatError(
-                len(lines), f"expected {n} eigenvalues, file holds {len(values)}"
-            )
+            raise InputFormatError(len(lines), f"expected {n} eigenvalues, file holds {len(values)}")
         return validate_spectrum(values, n, m, beta)
 
     if len(body) != n:
         raise InputFormatError(len(lines), f"expected {n} snapshot rows, file holds {len(body)}")
     width = m if beta == 1 else 2 * m
-    rows = []
-    for line_no, line in body:
-        row = _parse_row(line, line_no)
-        if len(row) != width:
-            raise InputFormatError(line_no, f"expected {width} values per row, got {len(row)}")
-        rows.append(row)
-    data = np.asarray(rows)
-    if beta == 2:
-        data = data[:, 0::2] + 1j * data[:, 1::2]
+    data = _parse_body(body, width, f"{width} values per row")
+    if beta == 2:  # each adjacent (re, im) float64 pair is one complex128, bits kept
+        data = data.view(np.complex128)
     return SnapshotMatrix(data=data, n=n, m=m, beta=beta)
 
 
@@ -143,12 +156,11 @@ def write_eigenvalue_file(path: str, spectrum: SampleSpectrum) -> None:
 def write_snapshot_file(path: str, snapshots: SnapshotMatrix) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"snapshots,n={snapshots.n},m={snapshots.m},beta={snapshots.beta}\n")
-        for row in snapshots.data:
-            if snapshots.beta == 2:
-                cells = [f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
-            else:
-                cells = [f"{float(v)!r}" for v in row]
-            f.write(",".join(cells) + "\n")
+        data = snapshots.data
+        if snapshots.beta == 2:  # the loader's view in reverse: one re,im pair per entry
+            data = np.ascontiguousarray(data, dtype=np.complex128).view(np.float64)
+        for row in data:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

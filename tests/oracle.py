@@ -4,7 +4,9 @@
 the library solves the m x m Gram matrix when m < n. The per-k estimator
 criteria give each candidate k a fresh slice of the spectrum and its own
 moments, in the spectrum's own units, where the library computes every k at
-once from suffix sums.
+once from suffix sums. `reference_load` parses an input file one cell at a
+time with Python's ``float()``, where the library makes one ``np.loadtxt``
+call for the whole body.
 """
 
 import math
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sigcount import SampleSpectrum, SnapshotMatrix, validate_spectrum
+from sigcount.cli import InputFormatError, _parse_header
 
 
 def reference_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
@@ -20,6 +23,46 @@ def reference_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
     x = snapshots.data
     eigs = np.linalg.eigvalsh(x @ x.conj().T / snapshots.m)
     return validate_spectrum(eigs, snapshots.n, snapshots.m, snapshots.beta)
+
+
+def reference_load(path: str) -> SampleSpectrum | SnapshotMatrix:
+    """`load_input_file` with a per-cell ``float()`` loop over the body rows.
+
+    A bad file raises the InputFormatError (line number and message) that the
+    library must raise. ``float()`` also takes digit-group underscores and
+    non-ASCII digits, which the library rejects. Complex entries are built
+    with ``complex(re, im)``, which keeps the bits of both parts.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if not lines or not lines[0].strip():
+        raise InputFormatError(1, "empty file, expected a header line")
+    kind, n, m, beta = _parse_header(lines[0])
+    body = [(i + 1, line) for i, line in enumerate(lines) if i > 0 and line.strip()]
+    if kind == "eigenvalues":
+        width, expected = 1, "one value per line"
+    else:
+        width = m if beta == 1 else 2 * m
+        expected = f"{width} values per row"
+        if len(body) != n:
+            raise InputFormatError(len(lines), f"expected {n} snapshot rows, file holds {len(body)}")
+    rows = []
+    for line_no, line in body:
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            raise InputFormatError(line_no, f"could not parse {line.strip()!r} as numbers") from None
+        if len(row) != width:
+            raise InputFormatError(line_no, f"expected {expected}, got {len(row)}")
+        rows.append(row)
+
+    if kind == "eigenvalues":
+        if len(rows) != n:
+            raise InputFormatError(len(lines), f"expected {n} eigenvalues, file holds {len(rows)}")
+        return validate_spectrum([row[0] for row in rows], n, m, beta)
+    if beta == 2:
+        rows = [[complex(row[j], row[j + 1]) for j in range(0, width, 2)] for row in rows]
+    return SnapshotMatrix(data=np.array(rows), n=n, m=m, beta=beta)
 
 
 @dataclass(frozen=True)

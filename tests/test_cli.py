@@ -1,9 +1,14 @@
 import csv
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sigcount import (
     ESTIMATORS,
     SampleSpectrum,
@@ -128,6 +133,121 @@ class TestFileFormats:
         path.write_text("snapshots,n=1,m=2,beta=2\n1.0,2.0,3.0,-4.0\n")
         loaded = load_input_file(str(path))
         np.testing.assert_array_equal(loaded.data, [[1.0 + 2.0j, 3.0 - 4.0j]])
+
+
+# Values at the edges of float64: signed zeros, subnormals, the largest
+# finite magnitudes and the non-finite values.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+# Spellings that both float() and loadtxt read, each as a function of the value.
+CELL_FORMS = [
+    repr,
+    lambda v: format(v, ".17e"),
+    lambda v: format(v, "g").upper(),
+    lambda v: f"  {v!r}\t",
+]
+
+
+@st.composite
+def input_files(draw):
+    """(text, body_lines) of a valid eigenvalue or snapshot file.
+
+    body_lines holds the index into the file's lines of each non-blank body
+    line. Blank and whitespace-only lines fall anywhere after the header.
+    """
+    kind = draw(st.sampled_from(["eigenvalues", "snapshots"]))
+    n, m, beta = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
+    width = 1 if kind == "eigenvalues" else m * beta
+    drawn = st.floats(min_value=0.0) if kind == "eigenvalues" else st.floats()
+    values = st.one_of(st.sampled_from(EDGE_VALUES), drawn)
+    lines, body_lines = [f"{kind},n={n},m={m},beta={beta}"], []
+    for _ in range(n):
+        lines += draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=2))
+        cells = draw(st.lists(values, min_size=width, max_size=width))
+        form = draw(st.sampled_from(CELL_FORMS))
+        body_lines.append(len(lines))
+        lines.append(",".join(form(v) for v in cells))
+    lines += draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, body_lines
+
+
+CORRUPTIONS = {
+    "bad cell": lambda line: "x1," + line,
+    "empty cell": lambda line: line + ", ,1.0",
+    "trailing comma": lambda line: line + ",",
+    "short row": lambda line: line.rpartition(",")[0],
+    "long row": lambda line: line + ",1.0",
+    "comment mark": lambda line: line + "#",
+}
+
+
+def load_outcome(loader, path):
+    """What a loader makes of a file: its result's bits, or its error."""
+    try:
+        got = loader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    data = got.eigenvalues if isinstance(got, SampleSpectrum) else got.data
+    return type(got), (got.n, got.m, got.beta), data.dtype, data.shape, data.tobytes()
+
+
+class TestLoaderMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=input_files())
+    def test_valid_files_load_bit_identically(self, tmp_path_factory, case):
+        text, _ = case
+        path = tmp_path_factory.mktemp("valid") / "input.txt"
+        path.write_bytes(text.encode())
+        want = load_outcome(oracle.reference_load, str(path))
+        assert load_outcome(load_input_file, str(path)) == want
+        # Negative or non-finite eigenvalues fail validation in both.
+        assert want[0] is not InputFormatError
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=input_files(), corruption=st.sampled_from(sorted(CORRUPTIONS)), data=st.data())
+    def test_corrupt_files_fail_on_the_oracle_line(self, tmp_path_factory, case, corruption, data):
+        text, body_lines = case
+        newline = "\r\n" if text.endswith("\r\n") else "\n"
+        lines = text.split(newline)
+        target = data.draw(st.sampled_from(body_lines))
+        lines[target] = CORRUPTIONS[corruption](lines[target])
+        path = tmp_path_factory.mktemp("corrupt") / "input.txt"
+        path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(InputFormatError) as want:
+            oracle.reference_load(str(path))
+        with pytest.raises(InputFormatError) as got:
+            load_input_file(str(path))
+        assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11.5"])
+    def test_python_only_number_forms_rejected(self, tmp_path, cell):
+        # float() reads these; the file format does not.
+        path = tmp_path / "eigs.txt"
+        path.write_text(f"eigenvalues,n=2,m=10,beta=1\n1.0\n{cell}\n", encoding="utf-8")
+        assert isinstance(oracle.reference_load(str(path)), SampleSpectrum)
+        with pytest.raises(InputFormatError, match="line 3"):
+            load_input_file(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        beta=st.sampled_from([1, 2]),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        # Text keeps neither the sign nor the payload of a NaN, so the only
+        # NaN drawn is EDGE_VALUES' canonical one.
+        values=st.lists(
+            st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False)), min_size=32, max_size=32
+        ),
+    )
+    def test_written_snapshot_files_load_bit_identically(self, tmp_path_factory, beta, shape, values):
+        n, m = shape
+        parts = np.array(values[: n * m * beta]).reshape(n, m * beta)
+        data = parts.view(np.complex128) if beta == 2 else parts
+        path = str(tmp_path_factory.mktemp("written") / "snaps.txt")
+        write_snapshot_file(path, SnapshotMatrix(data, n, m, beta))
+        loaded = load_input_file(path)
+        assert loaded.data.dtype == data.dtype
+        assert loaded.data.tobytes() == data.tobytes()
 
 
 class TestEstimateCommand:
@@ -391,7 +511,11 @@ CONTRACT = [
     (("limits", "--c", "1", "--output", "{missing}"), 2),
     (("clt-check", "--n", "4", "--m", "8", "--trials", "1000", "--output", "{missing}"), 2),
     (("estimate", "{not_utf8}"), 2),
+    (("estimate", "{duplicate_field}"), 2),
+    (("estimate", "{unknown_field}"), 2),
     (("estimate", "{huge}"), 3),
+    (("estimate", "{inf_part}"), 3),
+    (("estimate", "{no_rows}"), 3),
     (("estimate", "{eigs}", "--estimators", "wavelet"), 3),
     (("simulate", "--grid", "4:8", "--sigma2", "1e308", "--trials", "2"), 3),
     (("simulate", "--grid", "8:32", "--trials", "0"), 3),
@@ -410,26 +534,37 @@ CONTRACT = [
 @pytest.mark.parametrize("argv,code", CONTRACT, ids=[" ".join(a) for a, _ in CONTRACT])
 def test_exit_code_contract(capsys, tmp_path, argv, code):
     snaps, spectrum = make_spectrum()
-    files = {name: str(tmp_path / f"{name}.txt") for name in ("eigs", "huge", "not_utf8")}
+    texts = {
+        "not_utf8": b"eigenvalues,n=2,m=10,beta=1\n1.0\n\xff2.0\n",
+        "duplicate_field": b"eigenvalues,n=3,m=10,beta=1,n=2\n1.0\n2.0\n",
+        "unknown_field": b"eigenvalues,n=2,m=10,beta=1,bogus=7\n1.0\n2.0\n",
+        "inf_part": b"snapshots,n=1,m=2,beta=2\n1,2,3,inf\n",
+        "no_rows": b"snapshots,n=0,m=3,beta=1\n",
+    }
+    files = {name: str(tmp_path / f"{name}.txt") for name in ("eigs", "huge", *texts)}
     files["missing"] = str(tmp_path / "missing" / "out.csv")
     write_eigenvalue_file(files["eigs"], spectrum)
     # Finite in the file, but the covariance overflows to inf.
     write_snapshot_file(files["huge"], SnapshotMatrix(snaps.data * 1e160, 16, 64, 1))
-    with open(files["not_utf8"], "wb") as f:
-        f.write(b"eigenvalues,n=2,m=10,beta=1\n1.0\n\xff2.0\n")
+    for name, text in texts.items():
+        with open(files[name], "wb") as f:
+            f.write(text)
     existing = tmp_path / "existing.csv"
     existing.write_bytes(b"earlier output\n")
     argv = [arg.format(**files) for arg in argv]
     if "--output" not in argv:
         argv += ["--output", str(existing)]
 
-    try:
-        got = main(argv)
-    except SystemExit as exc:  # argparse rejects a bad argv this way
-        got = exc.code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad argv this way
+            got = exc.code
     out, err = capsys.readouterr()
 
     assert got == code
+    assert [str(w.message) for w in caught] == []
     assert out == ""
     assert [line for line in err.splitlines() if "error: " in line] == [err.splitlines()[-1]]
     assert "Traceback" not in err
