@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
+import re
 import sys
 from typing import TextIO
 
@@ -32,7 +32,7 @@ from .core import (
 )
 from .covariance import snapshot_spectrum
 from .estimators import ESTIMATORS
-from .montecarlo import ExperimentPlan, detection_probability, run_clt_check, run_experiment
+from .montecarlo import ExperimentPlan, run_clt_check, run_experiment
 from .snapshots import SnapshotMatrix
 
 __all__ = [
@@ -80,10 +80,9 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
             raise InputFormatError(1, f"unknown header field {token!r}")
         if key in fields:
             raise InputFormatError(1, f"duplicate header field {token!r}")
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise InputFormatError(1, f"non-integer header field {token!r}") from None
+        if not re.fullmatch(r"[+-]?[0-9]+", value.strip()):
+            raise InputFormatError(1, f"non-integer header field {token!r}")
+        fields[key] = int(value)
     missing = {"n", "m", "beta"} - fields.keys()
     if missing:
         raise InputFormatError(1, f"header missing {sorted(missing)}")
@@ -228,15 +227,15 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
         master_seed=args.seed,
         estimators=_parse_estimators(args.estimators),
     )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "m", "estimator", "k", "probability", "stderr"])
+    out.write("n,m,estimator,k,probability,stderr\n")
     for summary in run_experiment(plan, workers=args.workers):
-        for k in range(min(summary.n, summary.m)):
-            p = detection_probability(summary, k)
-            se = math.sqrt(p * (1.0 - p) / summary.trials)
-            writer.writerow(
-                [summary.n, summary.m, summary.estimator_id.value, k, repr(p), repr(se)]
-            )
+        side, trials = min(summary.n, summary.m), summary.trials
+        p = np.array([summary.counts.get(k, 0) for k in range(side)]) / trials
+        se = np.sqrt(p * (1.0 - p) / trials)
+        prefix = f"{summary.n},{summary.m},{summary.estimator_id.value}"
+        out.write("".join(
+            f"{prefix},{k},{pk!r},{sk!r}\n" for k, (pk, sk) in enumerate(zip(p.tolist(), se.tolist()))
+        ))
     return 0
 
 

@@ -4,9 +4,11 @@
 sample covariance (1/m) X X' as a `SampleSpectrum`. When m >= n it forms the
 n x n covariance. When m < n that matrix has rank at most m, so it solves the
 m x m Gram matrix (1/m) X' X instead, whose eigenvalues are the nonzero ones,
-and appends the other n - m as exact zeros. Both routes run the same
-LAPACK-failure and trace-residual checks in `hermitian_eigenvalues`, and both
-raise `NonFiniteInput` when the snapshots or their product are not finite.
+and appends the other n - m as exact zeros. `_product` forms it in fresh
+arrays, or in arrays the Monte Carlo loop reuses, self-adjoint by
+construction, so this route skips `HermitianMatrix`'s copy and asymmetry
+check; it keeps the finite check, and `_solve` the LAPACK-failure and trace
+checks. `sample_covariance` still returns a fully checked `HermitianMatrix`.
 """
 
 from __future__ import annotations
@@ -58,19 +60,12 @@ class HermitianMatrix:
 def sample_covariance(snapshots: SnapshotMatrix) -> HermitianMatrix:
     """(1/m) X X' with X the snapshot matrix and ' the conjugate transpose.
 
-    Symmetry is forced exactly by averaging with the adjoint, so downstream
-    checks never see round-off asymmetry.
-
     Raises:
         NonFiniteInput: the snapshots hold NaN or infinity, or their product
             overflows the float range.
     """
     x = snapshots.data
-    # Overflow shows up as inf entries, which HermitianMatrix rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = (x @ x.conj().T) / snapshots.m
-        r = (r + r.conj().T) / 2.0
-    return HermitianMatrix(entries=r)
+    return HermitianMatrix(_product(x, *_product_buffers(x, snapshots.n)))
 
 
 def hermitian_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
@@ -84,17 +79,7 @@ def hermitian_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
         ConvergenceFailure: the iteration did not converge, or the eigenvalue
             sum disagrees with the trace beyond ``TRACE_RTOL``.
     """
-    try:
-        eigs = np.linalg.eigvalsh(matrix.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration failed to converge: {exc}") from exc
-    trace = float(np.trace(matrix.entries).real)
-    residual = abs(float(eigs.sum()) - trace)
-    if residual > TRACE_RTOL * abs(trace) + 1e-12:
-        raise ConvergenceFailure(
-            f"eigenvalue sum off trace by {residual:.3e} (trace {trace:.6e})"
-        )
-    return eigs[::-1].copy()
+    return _solve(matrix.entries)
 
 
 def snapshot_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
@@ -109,12 +94,57 @@ def snapshot_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
         NonFiniteInput: the snapshots or their product are not finite.
         ConvergenceFailure: as raised by `hermitian_eigenvalues`.
     """
-    n, m = snapshots.n, snapshots.m
-    if m >= n:
-        eigs = hermitian_eigenvalues(sample_covariance(snapshots))
-    else:
-        x = snapshots.data
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = (x.conj().T @ x) / m
-        eigs = np.concatenate([hermitian_eigenvalues(HermitianMatrix(gram)), np.zeros(n - m)])
-    return validate_spectrum(eigs, n, m, snapshots.beta)
+    x = snapshots.data
+    return _spectrum(x, snapshots.beta, *_product_buffers(x, min(x.shape)))
+
+
+def _product_buffers(x: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fresh arrays for `_product`: the side x side product and, for complex X, a flat scratch."""
+    if not np.iscomplexobj(x):
+        return np.empty((side, side)), None
+    return np.empty((side, side), dtype=complex), np.empty(max(x.size, side * side), dtype=complex)
+
+
+def _product(x: np.ndarray, out: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """(1/m) X X' into ``out``, or the Gram matrix (1/m) X' X when ``out`` is m x m, m < n.
+
+    Real X times its own transpose goes to syrk, exactly symmetric. Complex X
+    writes conj(X) into ``scratch``, which then holds the covariance's adjoint.
+    """
+    n, m = x.shape
+    gram = out.shape[0] != n
+    xh = x.T if scratch is None else np.conjugate(x, out=scratch[: x.size].reshape(n, m)).T
+    # Overflow shows up as inf entries, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(*((xh, x) if gram else (x, xh)), out=out)
+        out /= m
+        if scratch is not None and not gram:
+            out += np.conjugate(out.T, out=scratch[: n * n].reshape(n, n))
+            out /= 2.0
+    if not np.isfinite(out).all():
+        raise NonFiniteInput("matrix entries must be finite")
+    return out
+
+
+def _solve(entries: np.ndarray) -> np.ndarray:
+    """`hermitian_eigenvalues` of a self-adjoint array."""
+    try:
+        eigs = np.linalg.eigvalsh(entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigenvalue iteration failed to converge: {exc}") from exc
+    trace = float(np.trace(entries).real)
+    residual = abs(float(eigs.sum()) - trace)
+    if residual > TRACE_RTOL * abs(trace) + 1e-12:
+        raise ConvergenceFailure(
+            f"eigenvalue sum off trace by {residual:.3e} (trace {trace:.6e})"
+        )
+    return eigs[::-1].copy()
+
+
+def _spectrum(x: np.ndarray, beta: int, out: np.ndarray, scratch: np.ndarray | None) -> SampleSpectrum:
+    """`snapshot_spectrum` of the snapshot array ``x``, formed in the given buffers."""
+    n, m = x.shape
+    eigs = _solve(_product(x, out, scratch))
+    if m < n:
+        eigs = np.concatenate([eigs, np.zeros(n - m)])
+    return validate_spectrum(eigs, n, m, beta)

@@ -5,7 +5,8 @@ snapshots from a stream keyed by the master seed and a global trial index
 (grid_point_index * trials + t). `run_experiment` splits each grid point's
 trials into chunks and adds their ``np.bincount`` tallies, so results are
 identical for any worker count or execution order, and adding grid points
-never perturbs the streams of earlier points.
+never perturbs the streams of earlier points. A chunk draws and multiplies
+into arrays it allocates once, and runs every check `snapshot_spectrum` runs.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from .asymptotics import clt_statistics, q_matrix
 from .core import ConvergenceFailure, EstimatorId, SampleSpectrum, ScenarioSpec
-from .covariance import snapshot_spectrum
+from .covariance import _product_buffers, _spectrum
 from .estimators import ESTIMATORS
-from .snapshots import SeedPolicy, generate_snapshots
+from .snapshots import SeedPolicy, _draw, _draw_buffers
 
 __all__ = [
     "ExperimentPlan",
@@ -92,13 +93,12 @@ def _trial_spectra(
     scenario: ScenarioSpec, master_seed: int, first: int, count: int
 ) -> Iterator[SampleSpectrum]:
     """Spectra of trials [first, first + count); a ConvergenceFailure names its trial."""
+    x, part = _draw_buffers(scenario)
+    product, scratch = _product_buffers(x, min(scenario.n, scenario.m))
     for trial in range(first, first + count):
         try:
-            # Kept alive until the next trial draws its own: freed earlier, they
-            # let the allocator return the heap top and fault it back in on
-            # every clt-check trial.
-            snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
-            spectrum = snapshot_spectrum(snapshots)
+            _draw(scenario, SeedPolicy(master_seed, trial), x, part)
+            spectrum = _spectrum(x, scenario.beta, product, scratch)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"n={scenario.n}, m={scenario.m}, trial={trial}: {exc}"

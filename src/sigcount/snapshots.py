@@ -3,7 +3,9 @@
 Each trial owns an independent stream keyed by (master_seed, trial_index),
 so results never depend on execution order or thread scheduling. Normal
 variates come from numpy's PCG64 generator (ziggurat transform), the one
-generator used throughout this package.
+generator used throughout this package. `_draw` fills a fresh array here,
+and in the Monte Carlo loop one reused for a chunk of trials, which skips
+the `SnapshotMatrix` wrapper (its checks hold by construction).
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ class SnapshotMatrix:
     beta: int
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, copy=True)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        if self.n < 1 or self.m < 1:
+            raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        data = self.data  # kept only if frozen and owning its memory, as generate_snapshots passes
+        if not (isinstance(data, np.ndarray) and data.base is None and not data.flags.writeable):
+            data = np.array(data, copy=True)
+            data.flags.writeable = False
+            object.__setattr__(self, "data", data)
         if data.shape != (self.n, self.m):
             raise ValueError(f"expected shape ({self.n}, {self.m}), got {data.shape}")
         if self.beta == 1 and np.iscomplexobj(data):
@@ -74,14 +80,29 @@ def generate_snapshots(spec: ScenarioSpec, seed: SeedPolicy) -> SnapshotMatrix:
     Raises:
         UnsupportedField: spec.beta is 4 (no quaternion synthesis).
     """
+    data = _draw(spec, seed, *_draw_buffers(spec))
+    data.flags.writeable = False
+    return SnapshotMatrix(data=data, n=spec.n, m=spec.m, beta=spec.beta)
+
+
+def _draw_buffers(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fresh arrays for `_draw`: the snapshots and, for beta=2, a real part; rejects beta=4."""
     if spec.beta not in (1, 2):
         raise UnsupportedField(f"snapshot generation supports beta in (1, 2), got {spec.beta}")
-    rng = seed.rng()
-    scale = np.sqrt(spec.population_eigenvalues())[:, np.newaxis]
+    shape = (spec.n, spec.m)
     if spec.beta == 1:
-        data = scale * rng.standard_normal((spec.n, spec.m))
+        return np.empty(shape), None
+    return np.empty(shape, dtype=complex), np.empty(shape)
+
+
+def _draw(spec: ScenarioSpec, seed: SeedPolicy, out: np.ndarray, part: np.ndarray | None) -> np.ndarray:
+    """Fill ``out`` in the draw order and steps of ``scale * ((re + 1j * im) / sqrt(2))``."""
+    rng = seed.rng()
+    if spec.beta == 1:
+        rng.standard_normal(out=out)
     else:
-        re = rng.standard_normal((spec.n, spec.m))
-        im = rng.standard_normal((spec.n, spec.m))
-        data = scale * ((re + 1j * im) / np.sqrt(2.0))
-    return SnapshotMatrix(data=data, n=spec.n, m=spec.m, beta=spec.beta)
+        out.real = rng.standard_normal(out=part)
+        out.imag = rng.standard_normal(out=part)
+        out /= np.sqrt(2.0)
+    out *= np.sqrt(spec.population_eigenvalues())[:, np.newaxis]
+    return out

@@ -6,7 +6,8 @@ criteria give each candidate k a fresh slice of the spectrum and its own
 moments, in the spectrum's own units, where the library computes every k at
 once from suffix sums. `reference_load` parses an input file one cell at a
 time with Python's ``float()``, where the library makes one ``np.loadtxt``
-call for the whole body.
+call for the whole body. `reference_snapshots` draws with out-of-place
+arithmetic, where the library fills and scales arrays in place.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sigcount import SampleSpectrum, SnapshotMatrix, validate_spectrum
+from sigcount import SampleSpectrum, ScenarioSpec, SeedPolicy, SnapshotMatrix, validate_spectrum
 from sigcount.cli import InputFormatError, _parse_header
 
 
@@ -23,6 +24,17 @@ def reference_spectrum(snapshots: SnapshotMatrix) -> SampleSpectrum:
     x = snapshots.data
     eigs = np.linalg.eigvalsh(x @ x.conj().T / snapshots.m)
     return validate_spectrum(eigs, snapshots.n, snapshots.m, snapshots.beta)
+
+
+def reference_snapshots(spec: ScenarioSpec, seed: SeedPolicy) -> np.ndarray:
+    """The snapshot array of `generate_snapshots`, each step a new array."""
+    rng = seed.rng()
+    scale = np.sqrt(spec.population_eigenvalues())[:, np.newaxis]
+    if spec.beta == 1:
+        return scale * rng.standard_normal((spec.n, spec.m))
+    re = rng.standard_normal((spec.n, spec.m))
+    im = rng.standard_normal((spec.n, spec.m))
+    return scale * ((re + 1j * im) / np.sqrt(2.0))
 
 
 def reference_load(path: str) -> SampleSpectrum | SnapshotMatrix:

@@ -513,6 +513,8 @@ CONTRACT = [
     (("estimate", "{not_utf8}"), 2),
     (("estimate", "{duplicate_field}"), 2),
     (("estimate", "{unknown_field}"), 2),
+    (("estimate", "{underscore_header}"), 2),
+    (("estimate", "{non_ascii_header}"), 2),
     (("estimate", "{huge}"), 3),
     (("estimate", "{inf_part}"), 3),
     (("estimate", "{no_rows}"), 3),
@@ -540,6 +542,8 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
         "unknown_field": b"eigenvalues,n=2,m=10,beta=1,bogus=7\n1.0\n2.0\n",
         "inf_part": b"snapshots,n=1,m=2,beta=2\n1,2,3,inf\n",
         "no_rows": b"snapshots,n=0,m=3,beta=1\n",
+        "underscore_header": b"eigenvalues,n=0_2,m=1_0,beta=1\n1.0\n2.0\n",
+        "non_ascii_header": "eigenvalues,n=\uff12,m=10,beta=1\n1.0\n2.0\n".encode(),
     }
     files = {name: str(tmp_path / f"{name}.txt") for name in ("eigs", "huge", *texts)}
     files["missing"] = str(tmp_path / "missing" / "out.csv")

@@ -37,13 +37,14 @@ def brute_force_covariance(x: np.ndarray) -> np.ndarray:
 class TestSampleCovariance:
     @pytest.mark.parametrize("beta", [1, 2])
     def test_matches_brute_force(self, beta):
-        spec = ScenarioSpec((5.0,), 1.0, 5, 7, beta=beta)
-        snaps = generate_snapshots(spec, SeedPolicy(11))
-        got = sample_covariance(snaps).entries
-        want = brute_force_covariance(snaps.data)
-        if beta == 1:
-            want = want.real
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for n, m in [(5, 7), (7, 5)]:
+            spec = ScenarioSpec((5.0,), 1.0, n, m, beta=beta)
+            snaps = generate_snapshots(spec, SeedPolicy(11))
+            got = sample_covariance(snaps).entries
+            want = brute_force_covariance(snaps.data)
+            if beta == 1:
+                want = want.real
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_exactly_self_adjoint(self):
         spec = ScenarioSpec((), 1.0, 6, 10, beta=2)

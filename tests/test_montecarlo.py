@@ -1,20 +1,31 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sigcount import (
     CltCheckReport,
     ConvergenceFailure,
     EstimatorId,
     ExperimentPlan,
     ScenarioSpec,
+    SeedPolicy,
     TrialSummary,
+    UnsupportedField,
     detection_probability,
+    generate_snapshots,
+    hermitian_eigenvalues,
     q_matrix,
     run_clt_check,
     run_experiment,
+    sample_covariance,
+    validate_spectrum,
 )
+from sigcount.montecarlo import _trial_spectra
 
 
 def small_plan(**overrides):
@@ -125,7 +136,7 @@ class TestRunExperiment:
         def boom(_):
             raise ConvergenceFailure("deliberate failure")
 
-        monkeypatch.setattr("sigcount.covariance.hermitian_eigenvalues", boom)
+        monkeypatch.setattr("sigcount.covariance._solve", boom)
         with pytest.raises(ConvergenceFailure, match=rf"{context}, trial=0.*deliberate"):
             run()
 
@@ -141,6 +152,61 @@ class TestRunExperiment:
         assert detection_probability(summary, 1) == 1.0
 
 
+@st.composite
+def trial_scenarios(draw):
+    """Scenarios with m < n, m = n and m = 1, real and complex."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, 2 * n)))
+    signals = draw(st.lists(st.floats(1.5, 100.0), max_size=min(3, n - 1)))
+    beta = draw(st.sampled_from([1, 2]))
+    return ScenarioSpec(tuple(sorted(signals, reverse=True)), 1.0, n, m, beta)
+
+
+class TestTrialSpectra:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scenario=trial_scenarios(),
+        master_seed=st.integers(0, 2**32 - 1),
+        first=st.integers(0, 50),
+    )
+    @example(scenario=ScenarioSpec((), 1.0, 9, 1, 1), master_seed=0, first=0)
+    @example(scenario=ScenarioSpec((), 1.0, 9, 1, 2), master_seed=0, first=0)
+    @example(scenario=ScenarioSpec((4.0,), 1.0, 12, 5, 2), master_seed=1, first=3)
+    @example(scenario=ScenarioSpec((4.0,), 1.0, 8, 8, 2), master_seed=2, first=0)
+    def test_matches_public_chain(self, scenario, master_seed, first):
+        # Three trials, so the reused buffers carry one trial into the next.
+        n, m, beta = scenario.n, scenario.m, scenario.beta
+        for trial, got in enumerate(_trial_spectra(scenario, master_seed, first, 3), first):
+            snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
+            assert (got.n, got.m, got.beta) == (n, m, beta)
+            if m >= n:
+                chain = validate_spectrum(
+                    hermitian_eigenvalues(sample_covariance(snapshots)), n, m, beta
+                )
+                np.testing.assert_array_equal(got.eigenvalues, chain.eigenvalues)
+            else:
+                want = oracle.reference_spectrum(snapshots)
+                np.testing.assert_allclose(
+                    got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-10 * want.eigenvalues[0]
+                )
+
+    @pytest.mark.parametrize("beta,bound", [(1, 2.0), (2, 3.25)])
+    @pytest.mark.parametrize("n,m", [(1000, 250), (256, 1024)])
+    def test_trials_allocate_no_snapshot_sized_temporaries(self, n, m, beta, bound):
+        # Peak traced memory over ten trials, in units of one snapshot matrix.
+        # The arrays a chunk reuses take 1.3 units for beta=1 and 2.8 for
+        # beta=2. Fresh temporaries in every trial took 3.0 and 4.0, and any
+        # one more real n x m temporary would cross the bound.
+        plan = ExperimentPlan(ScenarioSpec((10.0, 3.0), 1.0, n, m, beta), ((n, m),), 10, 3)
+        tracemalloc.start()
+        try:
+            run_experiment(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * m * np.dtype(complex if beta == 2 else float).itemsize) < bound
+
+
 class TestCltCheck:
     @pytest.mark.parametrize("trials", [0, 1, -1])
     def test_needs_two_trials(self, monkeypatch, trials):
@@ -148,11 +214,15 @@ class TestCltCheck:
         def no_draws(*args):
             raise AssertionError("drew snapshots")
 
-        monkeypatch.setattr("sigcount.montecarlo.generate_snapshots", no_draws)
+        monkeypatch.setattr("sigcount.montecarlo._draw", no_draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="trials must be >= 2"):
                 run_clt_check(10, 20, 1, trials, 3)
+
+    def test_quaternion_snapshots_unsupported(self):
+        with pytest.raises(UnsupportedField):
+            run_clt_check(10, 20, 4, trials=4, master_seed=3)
 
     def test_report_shapes_and_predictions(self):
         report = run_clt_check(10, 20, 1, trials=32, master_seed=3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from sigcount import (
     ScenarioSpec,
     SeedPolicy,
@@ -78,6 +79,14 @@ class TestGenerateSnapshots:
         second = np.mean(np.abs(snaps.data[0]) ** 2)
         assert 1.9 < second < 2.1
 
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_matches_out_of_place_reference(self, beta):
+        # Same draw order and the same arithmetic, so the same bits.
+        spec = ScenarioSpec((10.0, 3.0), 0.5, 7, 5, beta=beta)
+        snaps = generate_snapshots(spec, SeedPolicy(42, 3))
+        np.testing.assert_array_equal(snaps.data, oracle.reference_snapshots(spec, SeedPolicy(42, 3)))
+        assert not snaps.data.flags.writeable
+
     def test_quaternion_synthesis_unsupported(self):
         spec = ScenarioSpec((10.0,), 1.0, 4, 8, beta=4)
         with pytest.raises(UnsupportedField):
@@ -100,6 +109,11 @@ class TestSnapshotMatrix:
     def test_beta_4_rejected(self):
         with pytest.raises(UnsupportedField):
             SnapshotMatrix(np.zeros((2, 3)), n=2, m=3, beta=4)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_empty_dimension(self, shape):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            SnapshotMatrix(np.empty(shape), *shape, beta=1)
 
     def test_data_is_readonly_copy(self):
         source = np.ones((2, 3))
