@@ -28,6 +28,8 @@ from .core import (
     EstimatorId,
     SampleSpectrum,
     ScenarioSpec,
+    UnsupportedField,
+    VALID_BETAS,
     validate_spectrum,
 )
 from .covariance import snapshot_spectrum
@@ -66,6 +68,7 @@ class InputFormatError(Exception):
 # file formats
 
 def _parse_header(line: str) -> tuple[str, int, int, int]:
+    """(kind, n, m, beta), each value checked before any body line is read."""
     tokens = [t.strip() for t in line.strip().split(",")]
     kind = tokens[0].lower()
     if kind not in ("eigenvalues", "snapshots"):
@@ -86,7 +89,13 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
     missing = {"n", "m", "beta"} - fields.keys()
     if missing:
         raise InputFormatError(1, f"header missing {sorted(missing)}")
-    return kind, fields["n"], fields["m"], fields["beta"]
+    n, m, beta = fields["n"], fields["m"], fields["beta"]
+    if n < 1 or m < 1:
+        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    betas = (1, 2) if kind == "snapshots" else VALID_BETAS
+    if beta not in betas:
+        raise UnsupportedField(f"beta must be one of {betas} in a {kind} file, got {beta}")
+    return kind, n, m, beta
 
 
 def _parse_body(body: list[tuple[int, str]], width: int, expected: str) -> np.ndarray:
@@ -138,7 +147,7 @@ def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
 
     if len(body) != n:
         raise InputFormatError(len(lines), f"expected {n} snapshot rows, file holds {len(body)}")
-    width = m if beta == 1 else 2 * m
+    width = m * beta
     data = _parse_body(body, width, f"{width} values per row")
     if beta == 2:  # each adjacent (re, im) float64 pair is one complex128, bits kept
         data = data.view(np.complex128)

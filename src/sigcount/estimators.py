@@ -70,6 +70,12 @@ def _wk_fit(spectrum: SampleSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return k, -(n - k) * m * window_statistics(spectrum)[2]
 
 
+def _result(criteria: np.ndarray, estimator_id: EstimatorId) -> DetectionResult:
+    """The first k attaining the minimum, with every criterion value."""
+    k_hat = int(np.argmin(criteria))
+    return DetectionResult(k_hat, tuple(enumerate(criteria.tolist())), estimator_id)
+
+
 def estimate_wk_aic(spectrum: SampleSpectrum) -> DetectionResult:
     """AIC form of the classical arithmetic/geometric mean estimator.
 
@@ -79,18 +85,14 @@ def estimate_wk_aic(spectrum: SampleSpectrum) -> DetectionResult:
     """
     k, fit = _wk_fit(spectrum)
     criteria = 2.0 * fit + 2.0 * k * (2 * spectrum.n - k)
-    return DetectionResult(
-        int(np.argmin(criteria)), tuple(enumerate(criteria.tolist())), EstimatorId.WK_AIC
-    )
+    return _result(criteria, EstimatorId.WK_AIC)
 
 
 def estimate_wk_mdl(spectrum: SampleSpectrum) -> DetectionResult:
     """MDL form: -(n-k) m log(g(k)/a(k)) + (1/2) k (2n - k) log m."""
     k, fit = _wk_fit(spectrum)
     criteria = fit + 0.5 * k * (2 * spectrum.n - k) * math.log(spectrum.m)
-    return DetectionResult(
-        int(np.argmin(criteria)), tuple(enumerate(criteria.tolist())), EstimatorId.WK_MDL
-    )
+    return _result(criteria, EstimatorId.WK_MDL)
 
 
 def estimate_new(spectrum: SampleSpectrum) -> DetectionResult:
@@ -111,9 +113,7 @@ def estimate_new(spectrum: SampleSpectrum) -> DetectionResult:
     t = window_statistics(spectrum)[1]
     q = n * (t - (1.0 + c)) - (2.0 / beta - 1.0) * c
     criteria = (beta / 4.0) * (m / n) ** 2 * q**2 + 2.0 * (np.arange(t.size) + 1)
-    return DetectionResult(
-        int(np.argmin(criteria)), tuple(enumerate(criteria.tolist())), EstimatorId.NEW_RMT_AIC
-    )
+    return _result(criteria, EstimatorId.NEW_RMT_AIC)
 
 
 #: Dispatch table used by the simulation harness and the command line.

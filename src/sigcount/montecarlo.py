@@ -2,11 +2,13 @@
 
 Every trial runs through one loop, `_trial_spectra`, which draws its
 snapshots from a stream keyed by the master seed and a global trial index
-(grid_point_index * trials + t). `run_experiment` splits each grid point's
-trials into chunks and adds their ``np.bincount`` tallies, so results are
-identical for any worker count or execution order, and adding grid points
-never perturbs the streams of earlier points. A chunk draws and multiplies
-into arrays it allocates once, and runs every check `snapshot_spectrum` runs.
+(grid_point_index * trials + t). A job is a contiguous range of those
+indices within one grid point. `run_experiment` splits each point's trials
+into at most ``workers`` such ranges and adds their ``np.bincount``
+tallies, so results are identical for any worker count or execution order,
+and adding grid points never perturbs the streams of earlier points. A job
+draws and multiplies into arrays it allocates once, and runs every check
+`snapshot_spectrum` runs.
 """
 
 from __future__ import annotations
@@ -90,12 +92,12 @@ def detection_probability(summary: TrialSummary, target_k: int) -> float:
 
 
 def _trial_spectra(
-    scenario: ScenarioSpec, master_seed: int, first: int, count: int
+    scenario: ScenarioSpec, master_seed: int, trials: range
 ) -> Iterator[SampleSpectrum]:
-    """Spectra of trials [first, first + count); a ConvergenceFailure names its trial."""
+    """Spectra of the given global trials; a ConvergenceFailure names its trial."""
     x, part = _draw_buffers(scenario)
     product, scratch = _product_buffers(x, min(scenario.n, scenario.m))
-    for trial in range(first, first + count):
+    for trial in trials:
         try:
             _draw(scenario, SeedPolicy(master_seed, trial), x, part)
             spectrum = _spectrum(x, scenario.beta, product, scratch)
@@ -106,64 +108,50 @@ def _trial_spectra(
         yield spectrum
 
 
-def _tally_trials(plan: ExperimentPlan, point: int, first: int, count: int) -> np.ndarray:
-    """One ``np.bincount`` row of k-hat per estimator over trials [first, first + count).
+def _tally_trials(plan: ExperimentPlan, trials: range) -> np.ndarray:
+    """One ``np.bincount`` row of k-hat per estimator over a range of global trials.
 
-    Rows have length min(n, m), so the tallies of any split of the trials add up.
+    The range lies within one grid point, which its start identifies. Rows
+    have length min(n, m), so the tallies of any split of the trials add up.
     """
-    n, m = plan.grid[point]
+    n, m = plan.grid[trials.start // plan.trials]
     k_hats = [
         [ESTIMATORS[est](spectrum).k_hat for est in plan.estimators]
-        for spectrum in _trial_spectra(plan.scenario_at(n, m), plan.master_seed, first, count)
+        for spectrum in _trial_spectra(plan.scenario_at(n, m), plan.master_seed, trials)
     ]
     return np.stack([np.bincount(column, minlength=min(n, m)) for column in zip(*k_hats)])
-
-
-def _chunks(start: int, total: int, pieces: int) -> list[tuple[int, int]]:
-    size, extra = divmod(total, pieces)
-    out, cursor = [], start
-    for i in range(pieces):
-        width = size + (1 if i < extra else 0)
-        if width:
-            out.append((cursor, width))
-            cursor += width
-    return out
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[TrialSummary]:
     """Run the full battery and aggregate k-hat tallies.
 
-    Each grid point's trials run in ``workers`` chunks, in this process or
-    in a process pool; adding the chunk tallies makes the output identical
-    for any worker count.
+    Each grid point's trials run as min(workers, trials) contiguous, non-empty
+    ranges of global trial indices, in this process or in a process pool.
+    Adding a point's range tallies gives the same output for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    t, w = plan.trials, min(workers, plan.trials)
     jobs = [
-        (g, first, count)
+        range(g * t + i * t // w, g * t + (i + 1) * t // w)
         for g in range(len(plan.grid))
-        for first, count in _chunks(g * plan.trials, plan.trials, workers)
+        for i in range(w)
     ]
-    args = (repeat(plan), *zip(*jobs))
     if workers == 1:
-        tallies = list(map(_tally_trials, *args))
+        tallies = list(map(_tally_trials, repeat(plan), jobs))
     else:
         # Imported here: serial runs never need the process-pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_tally_trials, *args))
-    totals = [
-        sum(tally for (g, _, _), tally in zip(jobs, tallies) if g == point)
-        for point in range(len(plan.grid))
-    ]
+            tallies = list(pool.map(_tally_trials, repeat(plan), jobs))
     return [
         TrialSummary(
             n=n, m=m, estimator_id=est,
-            counts={k: int(c) for k, c in enumerate(row) if c}, trials=plan.trials,
+            counts={k: int(c) for k, c in enumerate(row) if c}, trials=t,
         )
-        for (n, m), total in zip(plan.grid, totals)
-        for est, row in zip(plan.estimators, total)
+        for g, (n, m) in enumerate(plan.grid)
+        for est, row in zip(plan.estimators, sum(tallies[g * w:(g + 1) * w]))
     ]
 
 
@@ -209,10 +197,8 @@ def run_clt_check(n: int, m: int, beta: int, trials: int, master_seed: int) -> C
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     scenario = ScenarioSpec((), 1.0, n, m, beta)
-    samples = np.reshape(
-        [clt_statistics(spectrum) for spectrum in _trial_spectra(scenario, master_seed, 0, trials)],
-        (trials, 2),
-    )
+    spectra = _trial_spectra(scenario, master_seed, range(trials))
+    samples = np.reshape([clt_statistics(spectrum) for spectrum in spectra], (trials, 2))
     q = q_matrix(n / m, beta)
     return CltCheckReport(
         n=n, m=m, beta=beta, trials=trials,

@@ -4,7 +4,7 @@ Each trial owns an independent stream keyed by (master_seed, trial_index),
 so results never depend on execution order or thread scheduling. Normal
 variates come from numpy's PCG64 generator (ziggurat transform), the one
 generator used throughout this package. `_draw` fills a fresh array here,
-and in the Monte Carlo loop one reused for a chunk of trials, which skips
+and in the Monte Carlo loop one reused for a range of trials, which skips
 the `SnapshotMatrix` wrapper (its checks hold by construction).
 """
 
@@ -50,11 +50,9 @@ class SnapshotMatrix:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
-        data = self.data  # kept only if frozen and owning its memory, as generate_snapshots passes
-        if not (isinstance(data, np.ndarray) and data.base is None and not data.flags.writeable):
-            data = np.array(data, copy=True)
-            data.flags.writeable = False
-            object.__setattr__(self, "data", data)
+        data = np.array(self.data, copy=True)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
         if data.shape != (self.n, self.m):
             raise ValueError(f"expected shape ({self.n}, {self.m}), got {data.shape}")
         if self.beta == 1 and np.iscomplexobj(data):
@@ -81,7 +79,6 @@ def generate_snapshots(spec: ScenarioSpec, seed: SeedPolicy) -> SnapshotMatrix:
         UnsupportedField: spec.beta is 4 (no quaternion synthesis).
     """
     data = _draw(spec, seed, *_draw_buffers(spec))
-    data.flags.writeable = False
     return SnapshotMatrix(data=data, n=spec.n, m=spec.m, beta=spec.beta)
 
 

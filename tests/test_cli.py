@@ -367,14 +367,16 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_invariance(self, capsys, tmp_path):
-        args = [
-            "simulate", "--signals", "8", "--grid", "10:40,8:4",
-            "--trials", "15", "--seed", "2",
-        ]
-        a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert run_cli(capsys, *args, "--workers", "1", "--output", str(a))[0] == 0
-        assert run_cli(capsys, *args, "--workers", "2", "--output", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+        a, b = tmp_path / "w1.csv", tmp_path / "wN.csv"
+        # The second pair has more workers than trials.
+        for trials, workers in (("15", "2"), ("3", "5")):
+            args = [
+                "simulate", "--signals", "8", "--grid", "10:40,8:4",
+                "--trials", trials, "--seed", "2",
+            ]
+            assert run_cli(capsys, *args, "--workers", "1", "--output", str(a))[0] == 0
+            assert run_cli(capsys, *args, "--workers", workers, "--output", str(b))[0] == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_default_seed_is_fixed(self, capsys):
         args = ["simulate", "--signals", "6", "--grid", "6:24", "--trials", "10"]
@@ -518,6 +520,12 @@ CONTRACT = [
     (("estimate", "{huge}"), 3),
     (("estimate", "{inf_part}"), 3),
     (("estimate", "{no_rows}"), 3),
+    (("estimate", "{negative_n}"), 3),
+    (("estimate", "{zero_n}"), 3),
+    (("estimate", "{zero_n_no_body}"), 3),
+    (("estimate", "{zero_m}"), 3),
+    (("estimate", "{quaternion_snapshots}"), 3),
+    (("estimate", "{quaternion_snapshots_wide}"), 3),
     (("estimate", "{eigs}", "--estimators", "wavelet"), 3),
     (("simulate", "--grid", "4:8", "--sigma2", "1e308", "--trials", "2"), 3),
     (("simulate", "--grid", "8:32", "--trials", "0"), 3),
@@ -542,6 +550,14 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
         "unknown_field": b"eigenvalues,n=2,m=10,beta=1,bogus=7\n1.0\n2.0\n",
         "inf_part": b"snapshots,n=1,m=2,beta=2\n1,2,3,inf\n",
         "no_rows": b"snapshots,n=0,m=3,beta=1\n",
+        # Header values are checked before the body, which here would
+        # otherwise fail to parse (exit 2).
+        "negative_n": b"eigenvalues,n=-1,m=3,beta=1\n",
+        "zero_n": b"eigenvalues,n=0,m=3,beta=1\n1.0\n",
+        "zero_n_no_body": b"eigenvalues,n=0,m=3,beta=1\n",
+        "zero_m": b"snapshots,n=1,m=0,beta=1\n1\n",
+        "quaternion_snapshots": b"snapshots,n=1,m=2,beta=4\n1,2\n",
+        "quaternion_snapshots_wide": b"snapshots,n=1,m=2,beta=4\n1,2,3,4\n",
         "underscore_header": b"eigenvalues,n=0_2,m=1_0,beta=1\n1.0\n2.0\n",
         "non_ascii_header": "eigenvalues,n=\uff12,m=10,beta=1\n1.0\n2.0\n".encode(),
     }

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from sigcount import (
     sample_covariance,
     validate_spectrum,
 )
-from sigcount.montecarlo import _trial_spectra
+from sigcount.montecarlo import _tally_trials, _trial_spectra
 
 
 def small_plan(**overrides):
@@ -119,6 +120,21 @@ class TestRunExperiment:
         serial = run_experiment(plan, workers=1)
         parallel = run_experiment(plan, workers=2)
         assert serial == parallel
+        # More workers than trials: each point runs as one range per trial.
+        few = replace(plan, trials=3)
+        assert run_experiment(few, workers=5) == run_experiment(few, workers=1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(point=st.integers(0, 1), cuts=st.sets(st.integers(1, 7)))
+    def test_range_tallies_add_up(self, point, cuts):
+        # Any partition of one point's trials into contiguous ranges tallies
+        # the same as the whole range.
+        plan = small_plan()
+        first = point * plan.trials
+        bounds = [first, *sorted(first + c for c in cuts), first + plan.trials]
+        parts = [_tally_trials(plan, range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        whole = _tally_trials(plan, range(first, first + plan.trials))
+        np.testing.assert_array_equal(sum(parts), whole)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
@@ -176,7 +192,8 @@ class TestTrialSpectra:
     def test_matches_public_chain(self, scenario, master_seed, first):
         # Three trials, so the reused buffers carry one trial into the next.
         n, m, beta = scenario.n, scenario.m, scenario.beta
-        for trial, got in enumerate(_trial_spectra(scenario, master_seed, first, 3), first):
+        trials = range(first, first + 3)
+        for trial, got in enumerate(_trial_spectra(scenario, master_seed, trials), first):
             snapshots = generate_snapshots(scenario, SeedPolicy(master_seed, trial))
             assert (got.n, got.m, got.beta) == (n, m, beta)
             if m >= n:
