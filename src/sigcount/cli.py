@@ -13,6 +13,8 @@ import csv
 import io
 import re
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from typing import TextIO
 
 import numpy as np
@@ -121,6 +123,77 @@ def _parse_body(body: list[tuple[int, str]], width: int, expected: str) -> np.nd
     raise AssertionError("every line parses alone, so the whole body parses")
 
 
+def _read_text(path: str) -> tuple[tuple[str, int, int, int], np.ndarray]:
+    """Header fields and body array of any file, read as one string.
+
+    The exact route, and the only one that names a bad line: every file that
+    `_read_streamed` declines is read here.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if not lines or not lines[0].strip():
+        raise InputFormatError(1, "empty file, expected a header line")
+    kind, n, m, beta = fields = _parse_header(lines[0])
+    body = [(i + 1, line) for i, line in enumerate(lines) if i > 0 and line.strip()]
+
+    if kind == "eigenvalues":
+        data = _parse_body(body, 1, "one value per line")
+        if len(data) != n:
+            raise InputFormatError(len(lines), f"expected {n} eigenvalues, file holds {len(data)}")
+        return fields, data
+
+    if len(body) != n:
+        raise InputFormatError(len(lines), f"expected {n} snapshot rows, file holds {len(body)}")
+    width = m * beta
+    return fields, _parse_body(body, width, f"{width} values per row")
+
+
+def _splits_further(line: str) -> bool:
+    """Whether ``str.splitlines`` splits ``line`` where iterating over a text file does not.
+
+    Universal newlines turn CRLF and CR into LF for both. One ``in`` test per
+    boundary scans a long line far faster than a regular expression.
+    """
+    return (
+        "\x0b" in line or "\x0c" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
+        or "\x85" in line or "\u2028" in line or "\u2029" in line
+    )
+
+
+def _body_lines(f: TextIO) -> Iterator[str]:
+    """The non-blank lines left in ``f``; ValueError at a line that `_splits_further` flags."""
+    for line in f:
+        if _splits_further(line):
+            raise ValueError("line boundary that only str.splitlines splits on")
+        if line.strip():
+            yield line
+
+
+def _read_streamed(path: str) -> tuple[tuple[str, int, int, int], np.ndarray] | None:
+    """Header fields and body array, the body parsed by ``np.loadtxt`` from the open file.
+
+    The body is never held as text. Returns None, sending the file to
+    `_read_text`, for a bad header, an empty body, a body that does not
+    parse into n rows of the expected width, a decode error, or a line that
+    `_splits_further`.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            header = f.readline()
+            if _splits_further(header):
+                return None
+            kind, n, m, beta = fields = _parse_header(header)
+            width = 1 if kind == "eigenvalues" else m * beta
+            body = _body_lines(f)
+            first = next(body, None)
+            if first is None:  # loadtxt warns on empty input
+                return None
+            data = np.loadtxt(chain([first], body), delimiter=",", comments=None, ndmin=2)
+        except (InputFormatError, ValueError):
+            return None
+    return (fields, data) if data.shape == (n, width) else None
+
+
 def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     """Read an eigenvalue or snapshot file, auto-detected from the header.
 
@@ -129,26 +202,16 @@ def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     around it; blank lines are skipped. Digit-group underscores (``1_000``) and
     non-ASCII digits are rejected.
 
+    The body streams through ``np.loadtxt``, so peak memory stays near twice
+    the loaded array. A file that does not load that way, including every bad
+    file, is read again as one string, which gives its result or error.
+
     Raises InputFormatError for structural problems; validation errors from
     the domain constructors pass through unchanged.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise InputFormatError(1, "empty file, expected a header line")
-    kind, n, m, beta = _parse_header(lines[0])
-    body = [(i + 1, line) for i, line in enumerate(lines) if i > 0 and line.strip()]
-
+    (kind, n, m, beta), data = _read_streamed(path) or _read_text(path)
     if kind == "eigenvalues":
-        values = _parse_body(body, 1, "one value per line")[:, 0]
-        if len(values) != n:
-            raise InputFormatError(len(lines), f"expected {n} eigenvalues, file holds {len(values)}")
-        return validate_spectrum(values, n, m, beta)
-
-    if len(body) != n:
-        raise InputFormatError(len(lines), f"expected {n} snapshot rows, file holds {len(body)}")
-    width = m * beta
-    data = _parse_body(body, width, f"{width} values per row")
+        return validate_spectrum(data[:, 0], n, m, beta)
     if beta == 2:  # each adjacent (re, im) float64 pair is one complex128, bits kept
         data = data.view(np.complex128)
     return SnapshotMatrix(data=data, n=n, m=m, beta=beta)
@@ -203,8 +266,8 @@ def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_estimate(args: argparse.Namespace, out: TextIO) -> int:
-    loaded = load_input_file(args.input)
     estimators = _parse_estimators(args.estimators)
+    loaded = load_input_file(args.input)
     spectrum = snapshot_spectrum(loaded) if isinstance(loaded, SnapshotMatrix) else loaded
     results = [ESTIMATORS[est](spectrum) for est in estimators]
     writer = csv.writer(out, lineterminator="\n")

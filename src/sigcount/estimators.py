@@ -63,15 +63,25 @@ def window_statistics(spectrum: SampleSpectrum) -> tuple[np.ndarray, np.ndarray,
     return mean * scale, t, log_ratio
 
 
-def _wk_fit(spectrum: SampleSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(k, -(n-k) m log(g/a)) over the searched range; the fit is +inf at l_n = 0."""
-    n, m = spectrum.n, spectrum.m
-    k = np.arange(min(n, m))
-    return k, -(n - k) * m * window_statistics(spectrum)[2]
+def _criteria(spectrum: SampleSpectrum) -> dict[EstimatorId, np.ndarray]:
+    """Every estimator's criterion over 0 <= k < min(n, m), from one `window_statistics` pass."""
+    n, m, beta = spectrum.n, spectrum.m, spectrum.beta
+    _, t, log_ratio = window_statistics(spectrum)
+    k = np.arange(t.size)
+    # -(n-k) m log(g/a), the WK goodness of fit; +inf when l_n is 0.
+    fit = -(n - k) * m * log_ratio
+    c = n / m
+    q = n * (t - (1.0 + c)) - (2.0 / beta - 1.0) * c
+    return {
+        EstimatorId.NEW_RMT_AIC: (beta / 4.0) * (m / n) ** 2 * q**2 + 2.0 * (k + 1),
+        EstimatorId.WK_AIC: 2.0 * fit + 2.0 * k * (2 * n - k),
+        EstimatorId.WK_MDL: fit + 0.5 * k * (2 * n - k) * math.log(m),
+    }
 
 
-def _result(criteria: np.ndarray, estimator_id: EstimatorId) -> DetectionResult:
-    """The first k attaining the minimum, with every criterion value."""
+def _result(spectrum: SampleSpectrum, estimator_id: EstimatorId) -> DetectionResult:
+    """The first k attaining the minimum of one criterion, with every criterion value."""
+    criteria = _criteria(spectrum)[estimator_id]
     k_hat = int(np.argmin(criteria))
     return DetectionResult(k_hat, tuple(enumerate(criteria.tolist())), estimator_id)
 
@@ -83,16 +93,12 @@ def estimate_wk_aic(spectrum: SampleSpectrum) -> DetectionResult:
     0 <= k < min(n, m). A window touching a zero eigenvalue of a
     rank-deficient covariance scores +inf, so singular spectra report 0.
     """
-    k, fit = _wk_fit(spectrum)
-    criteria = 2.0 * fit + 2.0 * k * (2 * spectrum.n - k)
-    return _result(criteria, EstimatorId.WK_AIC)
+    return _result(spectrum, EstimatorId.WK_AIC)
 
 
 def estimate_wk_mdl(spectrum: SampleSpectrum) -> DetectionResult:
     """MDL form: -(n-k) m log(g(k)/a(k)) + (1/2) k (2n - k) log m."""
-    k, fit = _wk_fit(spectrum)
-    criteria = fit + 0.5 * k * (2 * spectrum.n - k) * math.log(spectrum.m)
-    return _result(criteria, EstimatorId.WK_MDL)
+    return _result(spectrum, EstimatorId.WK_MDL)
 
 
 def estimate_new(spectrum: SampleSpectrum) -> DetectionResult:
@@ -108,12 +114,7 @@ def estimate_new(spectrum: SampleSpectrum) -> DetectionResult:
     Remains well defined for m < n, where the classical criteria degenerate.
     An all-zero window scores +inf.
     """
-    n, m, beta = spectrum.n, spectrum.m, spectrum.beta
-    c = n / m
-    t = window_statistics(spectrum)[1]
-    q = n * (t - (1.0 + c)) - (2.0 / beta - 1.0) * c
-    criteria = (beta / 4.0) * (m / n) ** 2 * q**2 + 2.0 * (np.arange(t.size) + 1)
-    return _result(criteria, EstimatorId.NEW_RMT_AIC)
+    return _result(spectrum, EstimatorId.NEW_RMT_AIC)
 
 
 #: Dispatch table used by the simulation harness and the command line.

@@ -22,7 +22,7 @@ import numpy as np
 from .asymptotics import clt_statistics, q_matrix
 from .core import ConvergenceFailure, EstimatorId, SampleSpectrum, ScenarioSpec
 from .covariance import _product_buffers, _spectrum
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, _criteria
 from .snapshots import SeedPolicy, _draw, _draw_buffers
 
 __all__ = [
@@ -115,9 +115,10 @@ def _tally_trials(plan: ExperimentPlan, trials: range) -> np.ndarray:
     have length min(n, m), so the tallies of any split of the trials add up.
     """
     n, m = plan.grid[trials.start // plan.trials]
+    spectra = _trial_spectra(plan.scenario_at(n, m), plan.master_seed, trials)
     k_hats = [
-        [ESTIMATORS[est](spectrum).k_hat for est in plan.estimators]
-        for spectrum in _trial_spectra(plan.scenario_at(n, m), plan.master_seed, trials)
+        [np.argmin(criteria[est]) for est in plan.estimators]
+        for criteria in map(_criteria, spectra)
     ]
     return np.stack([np.bincount(column, minlength=min(n, m)) for column in zip(*k_hats)])
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,6 +173,9 @@ def input_files(draw):
     return newline.join(lines) + newline, body_lines
 
 
+# Line boundaries that str.splitlines knows and file iteration does not.
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 CORRUPTIONS = {
     "bad cell": lambda line: "x1," + line,
     "empty cell": lambda line: line + ", ,1.0",
@@ -219,6 +223,48 @@ class TestLoaderMatchesOracle:
         with pytest.raises(InputFormatError) as got:
             load_input_file(str(path))
         assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=input_files(), data=st.data())
+    def test_splitlines_only_boundaries_match_the_oracle(self, tmp_path_factory, case, data):
+        # The oracle's str.splitlines splits lines at these; iterating over
+        # the open file does not.
+        text, body_lines = case
+        newline = "\r\n" if text.endswith("\r\n") else "\n"
+        lines = text.split(newline)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mark = data.draw(st.sampled_from(SPLITLINES_ONLY))
+            place = data.draw(st.sampled_from(["header", "cell edge", "inside a cell", "blank line"]))
+            at = 0 if place == "header" else data.draw(st.sampled_from(body_lines))
+            line = lines[at]
+            if place == "blank line":
+                lines.insert(at, data.draw(st.sampled_from(["", " "])) + mark)
+                body_lines = [i + (i >= at) for i in body_lines]
+                continue
+            edges = {0, len(line)} | {i + d for i, ch in enumerate(line) if ch == "," for d in (0, 1)}
+            inside = set(range(1, len(line))) - edges
+            spots = {"header": edges | inside, "cell edge": edges}.get(place, inside or edges)
+            pos = data.draw(st.sampled_from(sorted(spots)))
+            lines[at] = line[:pos] + mark + line[pos:]
+        path = tmp_path_factory.mktemp("splitlines") / "input.txt"
+        path.write_bytes(newline.join(lines).encode())
+        want = load_outcome(oracle.reference_load, str(path))
+        assert load_outcome(load_input_file, str(path)) == want
+
+    def test_peak_memory_about_twice_the_array(self, tmp_path):
+        # The body streams through loadtxt, which fills one array that
+        # SnapshotMatrix copies once. Holding the text as well takes 4.9x.
+        n, m = 256, 1024
+        rng = np.random.default_rng(7)
+        path = str(tmp_path / "snaps.txt")
+        write_snapshot_file(path, SnapshotMatrix(rng.standard_normal((n, m)), n, m, 1))
+        tracemalloc.start()
+        try:
+            loaded = load_input_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * loaded.data.nbytes
 
     @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11.5"])
     def test_python_only_number_forms_rejected(self, tmp_path, cell):
@@ -527,6 +573,9 @@ CONTRACT = [
     (("estimate", "{quaternion_snapshots}"), 3),
     (("estimate", "{quaternion_snapshots_wide}"), 3),
     (("estimate", "{eigs}", "--estimators", "wavelet"), 3),
+    # The estimator list is checked before the file is read.
+    (("estimate", "{malformed}", "--estimators", "bogus"), 3),
+    (("estimate", "{no_body}"), 2),
     (("simulate", "--grid", "4:8", "--sigma2", "1e308", "--trials", "2"), 3),
     (("simulate", "--grid", "8:32", "--trials", "0"), 3),
     (("simulate", "--grid", "4:8", "--trials", "2", "--beta", "4"), 2),
@@ -560,6 +609,9 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
         "quaternion_snapshots_wide": b"snapshots,n=1,m=2,beta=4\n1,2,3,4\n",
         "underscore_header": b"eigenvalues,n=0_2,m=1_0,beta=1\n1.0\n2.0\n",
         "non_ascii_header": "eigenvalues,n=\uff12,m=10,beta=1\n1.0\n2.0\n".encode(),
+        "malformed": b"eigenvalues,n=2,m=10,beta=1\n1.0\nnope\n",
+        # loadtxt warns on empty input.
+        "no_body": b"snapshots,n=2,m=3,beta=1\n",
     }
     files = {name: str(tmp_path / f"{name}.txt") for name in ("eigs", "huge", *texts)}
     files["missing"] = str(tmp_path / "missing" / "out.csv")

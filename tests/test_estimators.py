@@ -21,6 +21,7 @@ from sigcount import (
     validate_spectrum,
     window_statistics,
 )
+from sigcount.estimators import _criteria
 
 # Frozen against a 50-digit independent evaluation of the criterion
 # formulas on the spectrum [4, 2, 1] with n=3, m=10.
@@ -204,3 +205,34 @@ class TestAgainstPerKOracle:
         moments = [oracle.window_moments(spectrum, k) for k in range(mean.size)]
         np.testing.assert_allclose(mean, [w.mean for w in moments], rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(t, [w.t for w in moments], rtol=1e-9, atol=0.0)
+
+
+@st.composite
+def fused_spectra(draw):
+    """Seeded spectra at scales 1e-300, 1 and 1e300, zero-tailed or all zero, labelled beta 1, 2 or 4."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, 4 * n)))
+    signals = draw(st.lists(st.floats(1.5, 100.0), max_size=min(3, n - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    eigs = seeded_spectrum(sorted(signals, reverse=True), n, m, seed).eigenvalues.copy()
+    eigs *= draw(st.sampled_from([1e-300, 1.0, 1e300]))
+    zeros = draw(st.integers(0, n))
+    eigs[n - zeros:] = 0.0
+    return validate_spectrum(eigs, n, m, draw(st.sampled_from([1, 2, 4])))
+
+
+class TestFusedCriteria:
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=fused_spectra())
+    @example(spectrum=spectrum_from([0.0, 0.0, 0.0], m=2, beta=4))
+    @example(spectrum=spectrum_from([5e300, 2e300, 1e300, 0.0, 0.0], m=3))
+    def test_matches_each_public_estimator(self, spectrum):
+        # The Monte Carlo tallies take np.argmin of these arrays directly.
+        criteria = _criteria(spectrum)
+        assert set(criteria) == set(ESTIMATORS)
+        for est, estimate in ESTIMATORS.items():
+            result = estimate(spectrum)
+            got = criteria[est]
+            assert got.dtype == np.float64
+            assert np.argmin(got) == result.k_hat
+            assert got.tobytes() == np.array([v for _, v in result.criterion_values]).tobytes()

@@ -3,12 +3,33 @@ import pytest
 
 import oracle
 from sigcount import (
+    ExperimentPlan,
     ScenarioSpec,
     SeedPolicy,
     SnapshotMatrix,
     UnsupportedField,
     generate_snapshots,
+    run_clt_check,
 )
+
+# Each caller builds its streams from one seed; none may draw from a bad one.
+SEEDED_CALLS = {
+    "SeedPolicy": lambda seed, trial: SeedPolicy(seed, trial),
+    "ExperimentPlan": lambda seed, trial: ExperimentPlan(ScenarioSpec((), 1.0, 4, 8), ((4, 8),), 2, seed),
+    "run_clt_check": lambda seed, trial: run_clt_check(10, 20, 1, 3, seed),
+}
+
+BAD_SEEDS = [
+    (1.5, 0, "master_seed"),
+    (2.0, 0, "master_seed"),
+    (np.float64(3.0), 0, "master_seed"),
+    (True, 0, "master_seed"),
+    ("7", 0, "master_seed"),
+    (None, 0, "master_seed"),
+    (7, 1.5, "trial_index"),
+    (7, False, "trial_index"),
+    (7, "0", "trial_index"),
+]
 
 
 class TestSeedPolicy:
@@ -36,6 +57,33 @@ class TestSeedPolicy:
     def test_rejects_negative_trial_index(self):
         with pytest.raises(ValueError):
             SeedPolicy(1, -1)
+
+    @pytest.mark.parametrize(
+        "call,seed,trial,field",
+        [
+            (call, *bad)
+            for call in SEEDED_CALLS
+            for bad in BAD_SEEDS
+            # ExperimentPlan and run_clt_check number their own trials.
+            if bad[2] == "master_seed" or call == "SeedPolicy"
+        ],
+    )
+    def test_rejects_non_integers_before_drawing(self, monkeypatch, call, seed, trial, field):
+        def no_draws(*args):
+            raise AssertionError("drew snapshots")
+
+        monkeypatch.setattr("sigcount.snapshots._draw", no_draws)
+        monkeypatch.setattr("sigcount.montecarlo._draw", no_draws)
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SEEDED_CALLS[call](seed, trial)
+
+    def test_numpy_integers_draw_the_same_stream(self):
+        policy = SeedPolicy(np.uint64(7), np.int64(2))
+        assert policy == SeedPolicy(7, 2)
+        assert type(policy.master_seed) is int and type(policy.trial_index) is int
+        np.testing.assert_array_equal(
+            policy.rng().standard_normal(16), SeedPolicy(7, 2).rng().standard_normal(16)
+        )
 
 
 class TestGenerateSnapshots:
