@@ -14,8 +14,8 @@ import io
 import re
 import sys
 from collections.abc import Iterator
-from itertools import chain
-from typing import TextIO
+from itertools import chain, islice
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -100,98 +100,57 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
     return kind, n, m, beta
 
 
-def _parse_body(body: list[tuple[int, str]], width: int, expected: str) -> np.ndarray:
-    """Parse numbered body lines into a (len(body), width) array with one ``np.loadtxt``.
+def _lines(f: TextIO) -> Iterator[str]:
+    """The lines of ``f``, cut where ``str.splitlines`` would cut the whole text.
 
-    Only a bad body is parsed line by line, to name its first bad line.
+    Universal newlines already cut at CR and CRLF. Only a line holding one of
+    the other boundaries is split again; an ``in`` test per boundary scans a
+    long line far faster than ``splitlines``.
     """
-    if not body:  # loadtxt warns on empty input
-        return np.empty((0, width))
-    try:
-        data = np.loadtxt([text for _, text in body], delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] == width:
-            return data
-    except ValueError:
-        pass
-    for line_no, text in body:
-        try:
-            got = np.loadtxt([text], delimiter=",", comments=None, ndmin=1).size
-        except ValueError:
-            raise InputFormatError(line_no, f"could not parse {text.strip()!r} as numbers") from None
-        if got != width:
-            raise InputFormatError(line_no, f"expected {expected}, got {got}")
-    raise AssertionError("every line parses alone, so the whole body parses")
-
-
-def _read_text(path: str) -> tuple[tuple[str, int, int, int], np.ndarray]:
-    """Header fields and body array of any file, read as one string.
-
-    The exact route, and the only one that names a bad line: every file that
-    `_read_streamed` declines is read here.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise InputFormatError(1, "empty file, expected a header line")
-    kind, n, m, beta = fields = _parse_header(lines[0])
-    body = [(i + 1, line) for i, line in enumerate(lines) if i > 0 and line.strip()]
-
-    if kind == "eigenvalues":
-        data = _parse_body(body, 1, "one value per line")
-        if len(data) != n:
-            raise InputFormatError(len(lines), f"expected {n} eigenvalues, file holds {len(data)}")
-        return fields, data
-
-    if len(body) != n:
-        raise InputFormatError(len(lines), f"expected {n} snapshot rows, file holds {len(body)}")
-    width = m * beta
-    return fields, _parse_body(body, width, f"{width} values per row")
-
-
-def _splits_further(line: str) -> bool:
-    """Whether ``str.splitlines`` splits ``line`` where iterating over a text file does not.
-
-    Universal newlines turn CRLF and CR into LF for both. One ``in`` test per
-    boundary scans a long line far faster than a regular expression.
-    """
-    return (
-        "\x0b" in line or "\x0c" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
-        or "\x85" in line or "\u2028" in line or "\u2029" in line
-    )
-
-
-def _body_lines(f: TextIO) -> Iterator[str]:
-    """The non-blank lines left in ``f``; ValueError at a line that `_splits_further` flags."""
     for line in f:
-        if _splits_further(line):
-            raise ValueError("line boundary that only str.splitlines splits on")
-        if line.strip():
+        if (
+            "\x0b" in line or "\x0c" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
+            or "\x85" in line or "\u2028" in line or "\u2029" in line
+        ):
+            yield from line.splitlines()
+        else:
             yield line
 
 
-def _read_streamed(path: str) -> tuple[tuple[str, int, int, int], np.ndarray] | None:
-    """Header fields and body array, the body parsed by ``np.loadtxt`` from the open file.
+def _first_error(path: str, kind: str, n: int, width: int) -> NoReturn:
+    """Raise the InputFormatError of the first fault in a file whose body did not load.
 
-    The body is never held as text. Returns None, sending the file to
-    `_read_text`, for a bad header, an empty body, a body that does not
-    parse into n rows of the expected width, a decode error, or a line that
-    `_splits_further`.
+    The first pass counts lines and rows, since a snapshot file with the wrong
+    row count reports that before any bad line. The second parses blocks of
+    4096 numbered rows with ``np.loadtxt``; only a block that fails is parsed
+    line by line.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            header = f.readline()
-            if _splits_further(header):
-                return None
-            kind, n, m, beta = fields = _parse_header(header)
-            width = 1 if kind == "eigenvalues" else m * beta
-            body = _body_lines(f)
-            first = next(body, None)
-            if first is None:  # loadtxt warns on empty input
-                return None
-            data = np.loadtxt(chain([first], body), delimiter=",", comments=None, ndmin=2)
-        except (InputFormatError, ValueError):
-            return None
-    return (fields, data) if data.shape == (n, width) else None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        total, rows = 0, -1  # the header is no row
+        for total, line in enumerate(_lines(f), 1):
+            rows += bool(line.strip())
+        noun = "eigenvalues" if kind == "eigenvalues" else "snapshot rows"
+        count_error = InputFormatError(total, f"expected {n} {noun}, file holds {rows}")
+        if kind == "snapshots" and rows != n:
+            raise count_error
+        expected = "one value per line" if kind == "eigenvalues" else f"{width} values per row"
+        f.seek(0)
+        numbered = ((i, line) for i, line in enumerate(_lines(f), 1) if i > 1 and line.strip())
+        while block := list(islice(numbered, 4096)):
+            try:
+                parsed = np.loadtxt([text for _, text in block], delimiter=",", comments=None, ndmin=2)
+                if parsed.shape[1] == width:
+                    continue
+            except ValueError:
+                pass
+            for line_no, text in block:
+                try:
+                    got = np.loadtxt([text], delimiter=",", comments=None, ndmin=1).size
+                except ValueError:
+                    raise InputFormatError(line_no, f"could not parse {text.strip()!r} as numbers") from None
+                if got != width:
+                    raise InputFormatError(line_no, f"expected {expected}, got {got}")
+    raise count_error  # every row parses at its width, so only the eigenvalue count is wrong
 
 
 def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
@@ -202,14 +161,31 @@ def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     around it; blank lines are skipped. Digit-group underscores (``1_000``) and
     non-ASCII digits are rejected.
 
-    The body streams through ``np.loadtxt``, so peak memory stays near twice
-    the loaded array. A file that does not load that way, including every bad
-    file, is read again as one string, which gives its result or error.
+    The file is read once: the header is checked, then the non-blank lines
+    stream through one ``np.loadtxt`` call, so peak memory stays near twice
+    the loaded array. A body that does not load is read again by
+    `_first_error` to name its first bad line. A byte that is not UTF-8 is
+    decoded to a lone surrogate, which no header field or cell accepts, so
+    it too is named by its line.
 
     Raises InputFormatError for structural problems; validation errors from
     the domain constructors pass through unchanged.
     """
-    (kind, n, m, beta), data = _read_streamed(path) or _read_text(path)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        lines = _lines(f)
+        header = next(lines, "")
+        if not header.strip():
+            raise InputFormatError(1, "empty file, expected a header line")
+        kind, n, m, beta = _parse_header(header)
+        width = 1 if kind == "eigenvalues" else m * beta
+        body = (line for line in lines if line.strip())
+        first = next(body, None)  # loadtxt warns on empty input, which holds too few rows
+        try:
+            data = first and np.loadtxt(chain([first], body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape != (n, width):
+        _first_error(path, kind, n, width)
     if kind == "eigenvalues":
         return validate_spectrum(data[:, 0], n, m, beta)
     if beta == 2:  # each adjacent (re, im) float64 pair is one complex128, bits kept
@@ -440,9 +416,7 @@ def main(argv: list[str] | None = None) -> int:
                 f.write(buffer.getvalue())
     except OSError as exc:
         return _fail(str(exc), 2)
-    # UnicodeDecodeError is a ValueError, so it must be caught before the
-    # validation errors. Only `estimate` reads a file, so both name its input.
-    except (InputFormatError, UnicodeDecodeError) as exc:
+    except InputFormatError as exc:
         return _fail(f"{args.input}: {exc}", 2)
     # DomainError, NonFiniteInput, NegativeEigenvalue and UnsupportedField
     # are ValueErrors too.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,20 @@ class EstimatorId(enum.Enum):
         return self.value
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; TypeError naming ``name`` unless it is an integer.
+
+    ``operator.index`` takes Python and numpy integers but also bool, which
+    would silently count as 0 or 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_beta(beta: int) -> int:
     if beta not in VALID_BETAS:
         raise UnsupportedField(f"beta must be one of {VALID_BETAS}, got {beta!r}")
@@ -104,6 +119,8 @@ class ScenarioSpec:
                 "every signal eigenvalue must exceed the noise variance "
                 f"{self.noise_variance}, got {sig}"
             )
+        for name in ("n", "m"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
         if len(sig) >= self.n:

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from .asymptotics import clt_statistics, q_matrix
-from .core import ConvergenceFailure, EstimatorId, SampleSpectrum, ScenarioSpec
+from .core import ConvergenceFailure, EstimatorId, SampleSpectrum, ScenarioSpec, _integer
 from .covariance import _product_buffers, _spectrum
 from .estimators import ESTIMATORS, _criteria
 from .snapshots import SeedPolicy, _draw, _draw_buffers
@@ -49,7 +49,9 @@ class ExperimentPlan:
     estimators: tuple[EstimatorId, ...] = tuple(ESTIMATORS)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", tuple((int(n), int(m)) for n, m in self.grid))
+        grid = tuple((_integer("grid n", n), _integer("grid m", m)) for n, m in self.grid)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.grid:
             raise ValueError("grid must be non-empty")
@@ -130,6 +132,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[TrialSummary]
     ranges of global trial indices, in this process or in a process pool.
     Adding a point's range tallies gives the same output for any worker count.
     """
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t, w = plan.trials, min(workers, plan.trials)
@@ -194,7 +197,9 @@ def run_clt_check(n: int, m: int, beta: int, trials: int, master_seed: int) -> C
     Raises:
         ValueError: trials < 2, which leaves the empirical covariance
             undefined, or an (n, m, beta) that `ScenarioSpec` rejects.
+        TypeError: trials, n or m is not an integer.
     """
+    trials = _integer("trials", trials)
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     scenario = ScenarioSpec((), 1.0, n, m, beta)

@@ -10,12 +10,11 @@ the `SnapshotMatrix` wrapper (its checks hold by construction).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScenarioSpec, UnsupportedField
+from .core import ScenarioSpec, UnsupportedField, _integer
 
 __all__ = ["SeedPolicy", "SnapshotMatrix", "generate_snapshots"]
 
@@ -29,15 +28,7 @@ class SeedPolicy:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "trial_index"):
-            value = getattr(self, name)
-            # operator.index takes Python and numpy integers but also bool,
-            # which would silently draw the stream of seed 0 or 1.
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned int, got {self.master_seed}")
         if self.trial_index < 0:

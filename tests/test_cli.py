@@ -128,6 +128,35 @@ class TestFileFormats:
         with pytest.raises(InputFormatError, match="line 3"):
             load_input_file(str(path))
 
+    def test_bad_last_line_found_in_blocks(self, tmp_path, monkeypatch):
+        # A bad line is searched for in blocks of rows; only the failing
+        # block goes line by line, not the whole body.
+        path = tmp_path / "eigs.txt"
+        path.write_text("eigenvalues,n=20000,m=40000,beta=1\n" + "1.5\n" * 19999 + "bogus\n")
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        with pytest.raises(InputFormatError) as got:
+            load_input_file(str(path))
+        assert str(got.value) == "line 20001: could not parse 'bogus' as numbers"
+        assert len(calls) < 5000  # 1 stream + 5 blocks + 3616 lines
+
+    def test_non_utf8_byte_named_by_line(self, capsys, tmp_path):
+        # Past the first 8 KB, where a decode error would report an offset
+        # into the decoder's chunk rather than a line.
+        path = tmp_path / "eigs.txt"
+        path.write_bytes(b"eigenvalues,n=3001,m=4000,beta=1\n" + b"1.25\n" * 3000 + b"\xff2.0\n")
+        code, out, err = run_cli(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error: " in line] == [
+            f"error: {path}: line 3002: could not parse '\\udcff2.0' as numbers"
+        ]
+
     def test_complex_snapshot_interleaving(self, tmp_path):
         # beta=2 rows hold m (re, im) pairs.
         path = tmp_path / "snaps.txt"
@@ -265,6 +294,32 @@ class TestLoaderMatchesOracle:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * loaded.data.nbytes
+
+    # Rows 2-4097, 4098-8193 and 8194-9001 make the blocks that a bad line
+    # is searched in; each edge is hit from both sides.
+    @pytest.mark.parametrize("bad_line", [2, 4096, 4097, 4098, 8193, 9001])
+    @pytest.mark.parametrize("corruption", ["bad cell", "long row"])
+    def test_bad_line_at_block_edges_matches_the_oracle(self, tmp_path, bad_line, corruption):
+        lines = ["eigenvalues,n=9000,m=9000,beta=1"] + ["1.5"] * 9000 + ["", "  "]
+        lines[bad_line - 1] = CORRUPTIONS[corruption](lines[bad_line - 1])
+        path = tmp_path / "eigs.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputFormatError) as want:
+            oracle.reference_load(str(path))
+        with pytest.raises(InputFormatError) as got:
+            load_input_file(str(path))
+        assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+        assert got.value.line == bad_line
+
+    def test_row_count_reported_before_a_bad_cell(self, tmp_path):
+        path = tmp_path / "snaps.txt"
+        path.write_text("snapshots,n=3,m=2,beta=1\n1.0,2.0\nx1,2.0\n\n")
+        with pytest.raises(InputFormatError) as want:
+            oracle.reference_load(str(path))
+        with pytest.raises(InputFormatError) as got:
+            load_input_file(str(path))
+        assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
+        assert str(got.value) == "line 4: expected 3 snapshot rows, file holds 2"
 
     @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11.5"])
     def test_python_only_number_forms_rejected(self, tmp_path, cell):

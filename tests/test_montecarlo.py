@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -39,6 +40,40 @@ def small_plan(**overrides):
     )
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+# Each size field, by the call that receives it; the SeedPolicy rule applies
+# to all of them.
+SIZED_CALLS = {
+    "ScenarioSpec.n": ("n", lambda v: ScenarioSpec((), 1.0, v, 20)),
+    "ScenarioSpec.m": ("m", lambda v: ScenarioSpec((), 1.0, 10, v)),
+    "ExperimentPlan.grid n": ("grid n", lambda v: small_plan(grid=((v, 32),))),
+    "ExperimentPlan.grid m": ("grid m", lambda v: small_plan(grid=((16, v),))),
+    "ExperimentPlan.trials": ("trials", lambda v: small_plan(trials=v)),
+    "run_experiment": ("workers", lambda v: run_experiment(small_plan(), workers=v)),
+    "run_clt_check": ("trials", lambda v: run_clt_check(10, 20, 1, v, 7)),
+}
+
+BAD_SIZES = [8.9, 2.0, np.float64(3.0), True, "7", None]
+
+
+@pytest.mark.parametrize("call", sorted(SIZED_CALLS))
+@pytest.mark.parametrize("value", BAD_SIZES, ids=repr)
+def test_sizes_must_be_integers(monkeypatch, call, value):
+    def no_draws(*args):
+        raise AssertionError("drew snapshots")
+
+    monkeypatch.setattr("sigcount.montecarlo._draw", no_draws)
+    field, make = SIZED_CALLS[call]
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        make(value)
+
+
+def test_numpy_integer_sizes_become_ints():
+    plan = small_plan(grid=((np.int64(16), np.uint16(32)),), trials=np.int32(8))
+    assert plan == small_plan(grid=((16, 32),), trials=8)
+    assert all(type(v) is int for v in (*plan.grid[0], plan.trials, plan.scenario_at(*plan.grid[0]).n))
+    assert run_experiment(plan, workers=np.int8(1)) == run_experiment(plan)
 
 
 class TestExperimentPlan:
