@@ -119,7 +119,7 @@ class ScenarioSpec:
                 "every signal eigenvalue must exceed the noise variance "
                 f"{self.noise_variance}, got {sig}"
             )
-        for name in ("n", "m"):
+        for name in ("n", "m", "beta"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
@@ -152,6 +152,7 @@ class SampleSpectrum:
     :func:`validate_spectrum`, which sorts and clamps round-off first.
 
     Raises:
+        TypeError: n, m or beta is not an integer.
         ValueError: wrong length, n or m below 1, or unsorted eigenvalues.
         UnsupportedField: beta is not in ``VALID_BETAS``.
         NonFiniteInput: an eigenvalue is NaN or infinite.
@@ -164,6 +165,8 @@ class SampleSpectrum:
     beta: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "beta"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         eigs = np.array(self.eigenvalues, dtype=float, copy=True)
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)

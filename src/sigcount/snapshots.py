@@ -42,7 +42,7 @@ class SeedPolicy:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """n x m observation matrix whose columns are independent snapshots."""
+    """n x m matrix whose columns are snapshots: a read-only copy of ``data``, or the loader's own array."""
 
     data: np.ndarray
     n: int
@@ -50,19 +50,29 @@ class SnapshotMatrix:
     beta: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "data", np.array(self.data, copy=True))
+        self._check()
+
+    def _check(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
-        data = np.array(self.data, copy=True)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        if data.shape != (self.n, self.m):
-            raise ValueError(f"expected shape ({self.n}, {self.m}), got {data.shape}")
-        if self.beta == 1 and np.iscomplexobj(data):
+        self.data.flags.writeable = False
+        if self.data.shape != (self.n, self.m):
+            raise ValueError(f"expected shape ({self.n}, {self.m}), got {self.data.shape}")
+        if self.beta == 1 and np.iscomplexobj(self.data):
             raise ValueError("beta=1 snapshots must be real-valued")
-        if self.beta == 2 and not np.iscomplexobj(data):
+        if self.beta == 2 and not np.iscomplexobj(self.data):
             raise ValueError("beta=2 snapshots must be complex-valued")
         if self.beta not in (1, 2):
             raise UnsupportedField(f"snapshot matrices exist only for beta in (1, 2), got {self.beta}")
+
+
+def _adopt(data: np.ndarray, n: int, m: int, beta: int) -> SnapshotMatrix:
+    """``SnapshotMatrix(data, n, m, beta)`` around ``data`` itself; the caller locks a view's base."""
+    snapshots = object.__new__(SnapshotMatrix)
+    snapshots.__dict__.update(data=data, n=n, m=m, beta=beta)
+    snapshots._check()
+    return snapshots
 
 
 def generate_snapshots(spec: ScenarioSpec, seed: SeedPolicy) -> SnapshotMatrix:

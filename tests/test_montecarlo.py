@@ -14,6 +14,7 @@ from sigcount import (
     ConvergenceFailure,
     EstimatorId,
     ExperimentPlan,
+    SampleSpectrum,
     ScenarioSpec,
     SeedPolicy,
     TrialSummary,
@@ -47,6 +48,10 @@ def small_plan(**overrides):
 SIZED_CALLS = {
     "ScenarioSpec.n": ("n", lambda v: ScenarioSpec((), 1.0, v, 20)),
     "ScenarioSpec.m": ("m", lambda v: ScenarioSpec((), 1.0, 10, v)),
+    "ScenarioSpec.beta": ("beta", lambda v: ScenarioSpec((), 1.0, 10, 20, v)),
+    "SampleSpectrum.n": ("n", lambda v: SampleSpectrum([2.0, 1.0], v, 10)),
+    "SampleSpectrum.m": ("m", lambda v: SampleSpectrum([2.0, 1.0], 2, v)),
+    "SampleSpectrum.beta": ("beta", lambda v: SampleSpectrum([2.0, 1.0], 2, 10, v)),
     "ExperimentPlan.grid n": ("grid n", lambda v: small_plan(grid=((v, 32),))),
     "ExperimentPlan.grid m": ("grid m", lambda v: small_plan(grid=((16, v),))),
     "ExperimentPlan.trials": ("trials", lambda v: small_plan(trials=v)),
@@ -74,6 +79,9 @@ def test_numpy_integer_sizes_become_ints():
     assert plan == small_plan(grid=((16, 32),), trials=8)
     assert all(type(v) is int for v in (*plan.grid[0], plan.trials, plan.scenario_at(*plan.grid[0]).n))
     assert run_experiment(plan, workers=np.int8(1)) == run_experiment(plan)
+    spectrum = SampleSpectrum([2.0, 1.0], np.int64(2), np.uint16(10), np.int8(2))
+    beta = ScenarioSpec((), 1.0, 10, 20, np.int16(2)).beta
+    assert all(type(v) is int for v in (spectrum.n, spectrum.m, spectrum.beta, beta))
 
 
 class TestExperimentPlan:
