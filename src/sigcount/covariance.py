@@ -4,11 +4,11 @@
 sample covariance (1/m) X X' as a `SampleSpectrum`. When m >= n it forms the
 n x n covariance. When m < n that matrix has rank at most m, so it solves the
 m x m Gram matrix (1/m) X' X instead, whose eigenvalues are the nonzero ones,
-and appends the other n - m as exact zeros. `_product` forms it in fresh
-arrays, or in arrays the Monte Carlo loop reuses, self-adjoint by
-construction, so this route skips `HermitianMatrix`'s copy and asymmetry
-check; it keeps the finite check, and `_solve` the LAPACK-failure and trace
-checks. `sample_covariance` still returns a fully checked `HermitianMatrix`.
+and appends the other n - m as exact zeros. `_product` forms the product
+self-adjoint by construction, in fresh arrays or in ones the Monte Carlo
+loop reuses. This route and `sample_covariance` adopt it without the copy
+and asymmetry check `HermitianMatrix(...)` runs on a caller's matrix, but
+keep `_product`'s finite check and `_solve`'s convergence and trace checks.
 """
 
 from __future__ import annotations
@@ -65,7 +65,10 @@ def sample_covariance(snapshots: SnapshotMatrix) -> HermitianMatrix:
             overflows the float range.
     """
     x = snapshots.data
-    return HermitianMatrix(_product(x, *_product_buffers(x, snapshots.n)))
+    matrix = object.__new__(HermitianMatrix)
+    object.__setattr__(matrix, "entries", _product(x, *_product_buffers(x, snapshots.n)))
+    matrix.entries.flags.writeable = False
+    return matrix
 
 
 def hermitian_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:

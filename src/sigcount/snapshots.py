@@ -3,9 +3,10 @@
 Each trial owns an independent stream keyed by (master_seed, trial_index),
 so results never depend on execution order or thread scheduling. Normal
 variates come from numpy's PCG64 generator (ziggurat transform), the one
-generator used throughout this package. `_draw` fills a fresh array here,
-and in the Monte Carlo loop one reused for a range of trials, which skips
-the `SnapshotMatrix` wrapper (its checks hold by construction).
+generator used throughout this package. An array the package builds is
+adopted: checked and locked, not copied. `_draw` fills a fresh one for
+`generate_snapshots`, or in the Monte Carlo loop one reused for a range of
+trials. An array a caller passes to `SnapshotMatrix(...)` is copied first.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class SeedPolicy:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """n x m matrix whose columns are snapshots: a read-only copy of ``data``, or the loader's own array."""
+    """n x m matrix whose columns are snapshots: a read-only copy of ``data``, or an adopted array the package built."""
 
     data: np.ndarray
     n: int
@@ -54,6 +55,8 @@ class SnapshotMatrix:
         self._check()
 
     def _check(self) -> None:
+        for name in ("n", "m", "beta"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
         self.data.flags.writeable = False
@@ -85,13 +88,13 @@ def generate_snapshots(spec: ScenarioSpec, seed: SeedPolicy) -> SnapshotMatrix:
     the diagonal form loses nothing.
 
     For beta=2 each standard entry has independent real and imaginary parts
-    of variance 1/2, giving E|z|^2 = 1 before scaling.
+    of variance 1/2, giving E|z|^2 = 1 before scaling. The drawn array is
+    adopted, read-only and uncopied.
 
     Raises:
         UnsupportedField: spec.beta is 4 (no quaternion synthesis).
     """
-    data = _draw(spec, seed, *_draw_buffers(spec))
-    return SnapshotMatrix(data=data, n=spec.n, m=spec.m, beta=spec.beta)
+    return _adopt(_draw(spec, seed, *_draw_buffers(spec)), spec.n, spec.m, spec.beta)
 
 
 def _draw_buffers(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray | None]:

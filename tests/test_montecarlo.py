@@ -17,6 +17,7 @@ from sigcount import (
     SampleSpectrum,
     ScenarioSpec,
     SeedPolicy,
+    SnapshotMatrix,
     TrialSummary,
     UnsupportedField,
     detection_probability,
@@ -52,6 +53,9 @@ SIZED_CALLS = {
     "SampleSpectrum.n": ("n", lambda v: SampleSpectrum([2.0, 1.0], v, 10)),
     "SampleSpectrum.m": ("m", lambda v: SampleSpectrum([2.0, 1.0], 2, v)),
     "SampleSpectrum.beta": ("beta", lambda v: SampleSpectrum([2.0, 1.0], 2, 10, v)),
+    "SnapshotMatrix.n": ("n", lambda v: SnapshotMatrix(np.ones((2, 3)), v, 3, 1)),
+    "SnapshotMatrix.m": ("m", lambda v: SnapshotMatrix(np.ones((2, 3)), 2, v, 1)),
+    "SnapshotMatrix.beta": ("beta", lambda v: SnapshotMatrix(np.ones((2, 3)), 2, 3, v)),
     "ExperimentPlan.grid n": ("grid n", lambda v: small_plan(grid=((v, 32),))),
     "ExperimentPlan.grid m": ("grid m", lambda v: small_plan(grid=((16, v),))),
     "ExperimentPlan.trials": ("trials", lambda v: small_plan(trials=v)),
@@ -81,7 +85,8 @@ def test_numpy_integer_sizes_become_ints():
     assert run_experiment(plan, workers=np.int8(1)) == run_experiment(plan)
     spectrum = SampleSpectrum([2.0, 1.0], np.int64(2), np.uint16(10), np.int8(2))
     beta = ScenarioSpec((), 1.0, 10, 20, np.int16(2)).beta
-    assert all(type(v) is int for v in (spectrum.n, spectrum.m, spectrum.beta, beta))
+    snaps = SnapshotMatrix(np.ones((2, 3)), np.int64(2), np.uint16(3), np.int8(1))
+    assert all(type(v) is int for v in (spectrum.n, spectrum.m, spectrum.beta, beta, snaps.n, snaps.m, snaps.beta))
 
 
 class TestExperimentPlan:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,18 @@ class TestGenerateSnapshots:
         snaps = generate_snapshots(spec, SeedPolicy(42, 3))
         np.testing.assert_array_equal(snaps.data, oracle.reference_snapshots(spec, SeedPolicy(42, 3)))
         assert not snaps.data.flags.writeable
+
+    def test_peak_memory_below_one_and_a_half_arrays(self):
+        # The draw is adopted without a copy (a copy makes 2.0x).
+        spec = ScenarioSpec((10.0, 3.0), 1.0, 400, 400)
+        generate_snapshots(spec, SeedPolicy(1))  # warm-up
+        tracemalloc.start()
+        try:
+            snaps = generate_snapshots(spec, SeedPolicy(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * snaps.data.nbytes
 
     def test_quaternion_synthesis_unsupported(self):
         spec = ScenarioSpec((10.0,), 1.0, 4, 8, beta=4)
