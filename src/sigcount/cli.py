@@ -13,7 +13,6 @@ import csv
 import io
 import re
 import sys
-from collections.abc import Iterator
 from itertools import chain, islice
 from typing import NoReturn, TextIO
 
@@ -100,34 +99,18 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
     return kind, n, m, beta
 
 
-def _lines(f: TextIO) -> Iterator[str]:
-    """The lines of ``f``, cut where ``str.splitlines`` would cut the whole text.
-
-    Universal newlines already cut at CR and CRLF. Only a line holding one of
-    the other boundaries is split again; an ``in`` test per boundary scans a
-    long line far faster than ``splitlines``.
-    """
-    for line in f:
-        if (
-            "\x0b" in line or "\x0c" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
-            or "\x85" in line or "\u2028" in line or "\u2029" in line
-        ):
-            yield from line.splitlines()
-        else:
-            yield line
-
-
 def _first_error(path: str, kind: str, n: int, width: int) -> NoReturn:
     """Raise the InputFormatError of the first fault in a file whose body did not load.
 
-    The first pass counts lines and rows, since a snapshot file with the wrong
-    row count reports that before any bad line. The second parses blocks of
-    4096 numbered rows with ``np.loadtxt``; only a block that fails is parsed
-    line by line.
+    Lines are numbered as `load_input_file` reads them, so each number is
+    the one an editor shows. The first pass counts lines and rows, since a
+    snapshot file with the wrong row count reports that before any bad line.
+    The second parses blocks of 4096 numbered rows with ``np.loadtxt``; only
+    a block that fails is parsed line by line.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         total, rows = 0, -1  # the header is no row
-        for total, line in enumerate(_lines(f), 1):
+        for total, line in enumerate(f, 1):
             rows += bool(line.strip())
         noun = "eigenvalues" if kind == "eigenvalues" else "snapshot rows"
         count_error = InputFormatError(total, f"expected {n} {noun}, file holds {rows}")
@@ -135,7 +118,7 @@ def _first_error(path: str, kind: str, n: int, width: int) -> NoReturn:
             raise count_error
         expected = "one value per line" if kind == "eigenvalues" else f"{width} values per row"
         f.seek(0)
-        numbered = ((i, line) for i, line in enumerate(_lines(f), 1) if i > 1 and line.strip())
+        numbered = ((i, line) for i, line in enumerate(f, 1) if i > 1 and line.strip())
         while block := list(islice(numbered, 4096)):
             try:
                 parsed = np.loadtxt([text for _, text in block], delimiter=",", comments=None, ndmin=2)
@@ -159,7 +142,9 @@ def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     The header gives ``n``, ``m`` and ``beta`` once each. A cell is a decimal
     or scientific-notation number, ``inf`` or ``nan``, with optional whitespace
     around it; blank lines are skipped. Digit-group underscores (``1_000``) and
-    non-ASCII digits are rejected.
+    non-ASCII digits are rejected. A line ends at LF, CRLF or CR and nowhere
+    else, so the other characters that ``str.splitlines`` cuts at, such as a
+    form feed, are whitespace at a cell's edge and an error inside a cell.
 
     The file is read once: the header is checked, then the non-blank lines
     stream through one ``np.loadtxt`` call into an array that a snapshot
@@ -172,13 +157,12 @@ def load_input_file(path: str) -> SampleSpectrum | SnapshotMatrix:
     the domain constructors pass through unchanged.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        lines = _lines(f)
-        header = next(lines, "")
+        header = f.readline()
         if not header.strip():
             raise InputFormatError(1, "empty file, expected a header line")
         kind, n, m, beta = _parse_header(header)
         width = 1 if kind == "eigenvalues" else m * beta
-        body = (line for line in lines if line.strip())
+        body = (line for line in f if line.strip())
         first = next(body, None)  # loadtxt warns on empty input, which holds too few rows
         try:
             data = first and np.loadtxt(chain([first], body), delimiter=",", comments=None, ndmin=2)

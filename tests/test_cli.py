@@ -158,6 +158,25 @@ class TestFileFormats:
             f"error: {path}: line 3002: could not parse '\\udcff2.0' as numbers"
         ]
 
+    def test_form_feed_ends_no_line_before_a_bad_one(self, tmp_path):
+        path = tmp_path / "eigs.txt"
+        path.write_bytes(b"eigenvalues,n=3,m=4,beta=1\n1.0\x0c\n2.0\nbogus\n")
+        with pytest.raises(InputFormatError) as got:
+            load_input_file(str(path))
+        assert str(got.value) == "line 4: could not parse 'bogus' as numbers"
+
+    def test_form_feed_inside_a_line_splits_no_values(self, capsys, tmp_path):
+        path = tmp_path / "eigs.txt"
+        path.write_bytes(b"eigenvalues,n=2,m=4,beta=1\n3.0\x0c1.0\n")
+        code, out, err = run_cli(capsys, "estimate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 2: could not parse '3.0\\x0c1.0' as numbers\n"
+
+    def test_form_feed_at_a_cell_edge_splits_no_row(self, tmp_path):
+        path = tmp_path / "snaps.txt"
+        path.write_bytes(b"snapshots,n=1,m=2,beta=1\n1.0\x0c,2.0\n")
+        np.testing.assert_array_equal(load_input_file(str(path)).data, [[1.0, 2.0]])
+
     def test_complex_snapshot_interleaving(self, tmp_path):
         # beta=2 rows hold m (re, im) pairs.
         path = tmp_path / "snaps.txt"
@@ -203,8 +222,18 @@ def input_files(draw):
     return newline.join(lines) + newline, body_lines
 
 
-# Line boundaries that str.splitlines knows and file iteration does not.
+# Characters that str.splitlines cuts at and an input file's lines do not
+# end at: whitespace at a cell's edge, an error inside a cell.
 SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# Where one goes in a file: (template, the line named, or None when the file
+# loads bit-identically to the template without it).
+SPLITLINES_ONLY_PLACED = {
+    "inside a cell": ("snapshots,n=2,m=2,beta=1\n-0.0,5e-324\n-4,3{mark}e0\n", 3),
+    "cell edge": ("snapshots,n=2,m=2,beta=1\n{mark}-0.0,5e-324{mark}\n-4 {mark},{mark}3e0\n", None),
+    "blank line": ("snapshots,n=2,m=2,beta=1\n-0.0,5e-324\n{mark}\n \t{mark} \n-4,3e0\n", None),
+    "header": ("snapshots{mark},n=2,{mark}m=2 {mark},beta=1{mark}\n-0.0,5e-324\n-4,3e0\n", None),
+}
 
 CORRUPTIONS = {
     "bad cell": lambda line: "x1," + line,
@@ -254,32 +283,21 @@ class TestLoaderMatchesOracle:
             load_input_file(str(path))
         assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=input_files(), data=st.data())
-    def test_splitlines_only_boundaries_match_the_oracle(self, tmp_path_factory, case, data):
-        # The oracle's str.splitlines splits lines at these; iterating over
-        # the open file does not.
-        text, body_lines = case
-        newline = "\r\n" if text.endswith("\r\n") else "\n"
-        lines = text.split(newline)
-        for _ in range(data.draw(st.integers(1, 3))):
-            mark = data.draw(st.sampled_from(SPLITLINES_ONLY))
-            place = data.draw(st.sampled_from(["header", "cell edge", "inside a cell", "blank line"]))
-            at = 0 if place == "header" else data.draw(st.sampled_from(body_lines))
-            line = lines[at]
-            if place == "blank line":
-                lines.insert(at, data.draw(st.sampled_from(["", " "])) + mark)
-                body_lines = [i + (i >= at) for i in body_lines]
-                continue
-            edges = {0, len(line)} | {i + d for i, ch in enumerate(line) if ch == "," for d in (0, 1)}
-            inside = set(range(1, len(line))) - edges
-            spots = {"header": edges | inside, "cell edge": edges}.get(place, inside or edges)
-            pos = data.draw(st.sampled_from(sorted(spots)))
-            lines[at] = line[:pos] + mark + line[pos:]
-        path = tmp_path_factory.mktemp("splitlines") / "input.txt"
-        path.write_bytes(newline.join(lines).encode())
-        want = load_outcome(oracle.reference_load, str(path))
-        assert load_outcome(load_input_file, str(path)) == want
+    @pytest.mark.parametrize("place", sorted(SPLITLINES_ONLY_PLACED))
+    @pytest.mark.parametrize("mark", SPLITLINES_ONLY, ids=ascii)
+    def test_splitlines_only_characters_end_no_line(self, capsys, tmp_path, mark, place):
+        template, bad_line = SPLITLINES_ONLY_PLACED[place]
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(template.format(mark="").encode())
+        marked.write_bytes(template.format(mark=mark).encode())
+        got = load_outcome(load_input_file, str(marked))
+        assert got == load_outcome(oracle.reference_load, str(marked))
+        if bad_line is None:
+            assert got == load_outcome(load_input_file, str(plain))
+            return
+        code, out, err = run_cli(capsys, "estimate", str(marked))
+        assert (code, out) == (2, "")
+        assert err == f"error: {marked}: line {bad_line}: could not parse {'-4,3' + mark + 'e0'!r} as numbers\n"
 
     @pytest.fixture(scope="class")
     def snapshot_file(self, tmp_path_factory):

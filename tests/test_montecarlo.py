@@ -216,6 +216,25 @@ class TestRunExperiment:
         assert detection_probability(summary, 1) == 1.0
 
 
+# At 3,000 trials and level 1e-3, a WK probability off by 0.03 either way
+# fails with power 0.70 (WK_AIC at m = 40, p = 0.768), 0.91 (WK_AIC at
+# m = 10) and over 0.97 (WK_MDL); NEW, near 1, fails at a shift of 0.02
+# with power over 0.99. The seed and level were fixed before the first run.
+@pytest.mark.parametrize("m,beta", [(10, 2), (40, 1)])
+def test_noise_only_n2_tallies_match_the_exact_oracle(m, beta):
+    trials, level = 3000, 1e-3
+    plan = ExperimentPlan(ScenarioSpec((), 1.0, 2, m, beta=beta), ((2, m),), trials, master_seed=5150)
+    exact = oracle.noise_only_n2_probabilities(m, beta)
+    for summary in run_experiment(plan):
+        p_values = oracle.binomial_p_values(trials, exact[summary.estimator_id])
+        assert p_values[summary.counts.get(0, 0)] > level, (summary, exact[summary.estimator_id])
+    # The stated power, for the column where it is lowest.
+    p = exact[EstimatorId.WK_AIC]
+    caught = oracle.binomial_p_values(trials, p) <= level
+    power = min(np.exp(oracle.binomial_log_pmf(trials, p + d))[caught].sum() for d in (-0.03, 0.03))
+    assert power > 0.69
+
+
 @st.composite
 def trial_scenarios(draw):
     """Scenarios with m < n, m = n and m = 1, real and complex."""
