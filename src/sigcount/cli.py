@@ -29,8 +29,8 @@ from .core import (
     EstimatorId,
     SampleSpectrum,
     ScenarioSpec,
-    UnsupportedField,
     VALID_BETAS,
+    _sizes,
     validate_spectrum,
 )
 from .covariance import snapshot_spectrum
@@ -90,13 +90,8 @@ def _parse_header(line: str) -> tuple[str, int, int, int]:
     missing = {"n", "m", "beta"} - fields.keys()
     if missing:
         raise InputFormatError(1, f"header missing {sorted(missing)}")
-    n, m, beta = fields["n"], fields["m"], fields["beta"]
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     betas = (1, 2) if kind == "snapshots" else VALID_BETAS
-    if beta not in betas:
-        raise UnsupportedField(f"beta must be one of {betas} in a {kind} file, got {beta}")
-    return kind, n, m, beta
+    return kind, *_sizes(fields["n"], fields["m"], fields["beta"], betas)
 
 
 def _first_error(path: str, kind: str, n: int, width: int) -> NoReturn:
@@ -190,7 +185,7 @@ def write_snapshot_file(path: str, snapshots: SnapshotMatrix) -> None:
         f.write(f"snapshots,n={snapshots.n},m={snapshots.m},beta={snapshots.beta}\n")
         data = snapshots.data
         if snapshots.beta == 2:  # the loader's view in reverse: one re,im pair per entry
-            data = np.ascontiguousarray(data, dtype=np.complex128).view(np.float64)
+            data = data.view(np.float64)
         for row in data:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 

@@ -1,8 +1,10 @@
 """Shared domain types: scenarios, sample spectra, detection results.
 
-`SampleSpectrum` is the one place a spectrum is checked. `validate_spectrum`
-only repairs raw eigensolver output (sorts it and snaps round-off to exact
-zeros) and leaves every check to the `SampleSpectrum` it constructs.
+`_sizes` owns the checks of the sensor count n, the snapshot count m and the
+field beta, which every scenario, snapshot matrix, sample spectrum and input
+file header carries. `SampleSpectrum` is the one place a spectrum is checked;
+`validate_spectrum` only repairs raw eigensolver output (sorts it and snaps
+round-off to exact zeros).
 """
 
 from __future__ import annotations
@@ -82,10 +84,14 @@ def _integer(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_beta(beta: int) -> int:
-    if beta not in VALID_BETAS:
-        raise UnsupportedField(f"beta must be one of {VALID_BETAS}, got {beta!r}")
-    return int(beta)
+def _sizes(n, m, beta, betas: tuple[int, ...] = VALID_BETAS) -> tuple[int, int, int]:
+    """(n, m, beta) as ints; TypeError names a non-integer, UnsupportedField a beta not in ``betas``."""
+    n, m, beta = _integer("n", n), _integer("m", m), _integer("beta", beta)
+    if n < 1 or m < 1:
+        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    if beta not in betas:
+        raise UnsupportedField(f"beta must be one of {betas}, got {beta}")
+    return n, m, beta
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,11 @@ class ScenarioSpec:
                 "every signal eigenvalue must exceed the noise variance "
                 f"{self.noise_variance}, got {sig}"
             )
-        for name in ("n", "m", "beta"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        self.__dict__.update(zip(("n", "m", "beta"), _sizes(self.n, self.m, self.beta)))
         if len(sig) >= self.n:
             raise ValueError(
                 f"need fewer signals than sensors: k={len(sig)} >= n={self.n}"
             )
-        _check_beta(self.beta)
 
     @property
     def k(self) -> int:
@@ -165,16 +167,12 @@ class SampleSpectrum:
     beta: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n", "m", "beta"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        self.__dict__.update(zip(("n", "m", "beta"), _sizes(self.n, self.m, self.beta)))
         eigs = np.array(self.eigenvalues, dtype=float, copy=True)
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
         if eigs.ndim != 1 or eigs.size != self.n:
             raise ValueError(f"expected {self.n} eigenvalues, got shape {eigs.shape}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
-        _check_beta(self.beta)
         if not np.all(np.isfinite(eigs)):
             raise NonFiniteInput("eigenvalues contain NaN or infinity")
         if np.any(eigs < 0):

@@ -147,7 +147,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[TrialSummary]
         # Imported here: serial runs never need the process-pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             tallies = list(pool.map(_tally_trials, repeat(plan), jobs))
     return [
         TrialSummary(

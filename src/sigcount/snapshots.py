@@ -6,7 +6,8 @@ variates come from numpy's PCG64 generator (ziggurat transform), the one
 generator used throughout this package. An array the package builds is
 adopted: checked and locked, not copied. `_draw` fills a fresh one for
 `generate_snapshots`, or in the Monte Carlo loop one reused for a range of
-trials. An array a caller passes to `SnapshotMatrix(...)` is copied first.
+trials. An array a caller passes to `SnapshotMatrix(...)` is copied first,
+as float64 or complex128, so its product is never a bool's logical OR.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScenarioSpec, UnsupportedField, _integer
+from .core import ScenarioSpec, UnsupportedField, _integer, _sizes
 
 __all__ = ["SeedPolicy", "SnapshotMatrix", "generate_snapshots"]
 
@@ -43,7 +44,7 @@ class SeedPolicy:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """n x m matrix whose columns are snapshots: a read-only copy of ``data``, or an adopted array the package built."""
+    """n x m snapshot columns: a read-only float64 or complex128 copy of ``data``, or an adopted array."""
 
     data: np.ndarray
     n: int
@@ -51,23 +52,18 @@ class SnapshotMatrix:
     beta: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", np.array(self.data, copy=True))
+        dtype = np.complex128 if np.iscomplexobj(self.data) else np.float64
+        object.__setattr__(self, "data", np.array(self.data, dtype=dtype, order="C"))
         self._check()
 
     def _check(self) -> None:
-        for name in ("n", "m", "beta"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        self.__dict__.update(zip(("n", "m", "beta"), _sizes(self.n, self.m, self.beta, (1, 2))))
         self.data.flags.writeable = False
         if self.data.shape != (self.n, self.m):
             raise ValueError(f"expected shape ({self.n}, {self.m}), got {self.data.shape}")
-        if self.beta == 1 and np.iscomplexobj(self.data):
-            raise ValueError("beta=1 snapshots must be real-valued")
-        if self.beta == 2 and not np.iscomplexobj(self.data):
-            raise ValueError("beta=2 snapshots must be complex-valued")
-        if self.beta not in (1, 2):
-            raise UnsupportedField(f"snapshot matrices exist only for beta in (1, 2), got {self.beta}")
+        if np.iscomplexobj(self.data) != (self.beta == 2):
+            field = "complex" if self.beta == 2 else "real"
+            raise ValueError(f"beta={self.beta} snapshots must be {field}-valued")
 
 
 def _adopt(data: np.ndarray, n: int, m: int, beta: int) -> SnapshotMatrix:

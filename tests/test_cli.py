@@ -665,6 +665,7 @@ CONTRACT = [
     (("estimate", "{zero_m}"), 3),
     (("estimate", "{quaternion_snapshots}"), 3),
     (("estimate", "{quaternion_snapshots_wide}"), 3),
+    (("estimate", "{beta_3}"), 3),
     (("estimate", "{eigs}", "--estimators", "wavelet"), 3),
     # The estimator list is checked before the file is read.
     (("estimate", "{malformed}", "--estimators", "bogus"), 3),
@@ -700,6 +701,7 @@ def test_exit_code_contract(capsys, tmp_path, argv, code):
         "zero_m": b"snapshots,n=1,m=0,beta=1\n1\n",
         "quaternion_snapshots": b"snapshots,n=1,m=2,beta=4\n1,2\n",
         "quaternion_snapshots_wide": b"snapshots,n=1,m=2,beta=4\n1,2,3,4\n",
+        "beta_3": b"eigenvalues,n=2,m=10,beta=3\n1.0\n2.0\n",
         "underscore_header": b"eigenvalues,n=0_2,m=1_0,beta=1\n1.0\n2.0\n",
         "non_ascii_header": "eigenvalues,n=\uff12,m=10,beta=1\n1.0\n2.0\n".encode(),
         "malformed": b"eigenvalues,n=2,m=10,beta=1\n1.0\nnope\n",

@@ -29,6 +29,7 @@ from sigcount import (
     sample_covariance,
     validate_spectrum,
 )
+from sigcount.cli import _parse_header
 from sigcount.montecarlo import _tally_trials, _trial_spectra
 
 
@@ -45,17 +46,23 @@ def small_plan(**overrides):
 
 
 # Each size field, by the call that receives it; the SeedPolicy rule applies
-# to all of them.
+# to all of them. Around the field under test n = 2, m = 3 and beta = 1.
 SIZED_CALLS = {
-    "ScenarioSpec.n": ("n", lambda v: ScenarioSpec((), 1.0, v, 20)),
-    "ScenarioSpec.m": ("m", lambda v: ScenarioSpec((), 1.0, 10, v)),
-    "ScenarioSpec.beta": ("beta", lambda v: ScenarioSpec((), 1.0, 10, 20, v)),
-    "SampleSpectrum.n": ("n", lambda v: SampleSpectrum([2.0, 1.0], v, 10)),
+    "ScenarioSpec.n": ("n", lambda v: ScenarioSpec((), 1.0, v, 3)),
+    "ScenarioSpec.m": ("m", lambda v: ScenarioSpec((), 1.0, 2, v)),
+    "ScenarioSpec.beta": ("beta", lambda v: ScenarioSpec((), 1.0, 2, 3, v)),
+    "SampleSpectrum.n": ("n", lambda v: SampleSpectrum([2.0, 1.0], v, 3)),
     "SampleSpectrum.m": ("m", lambda v: SampleSpectrum([2.0, 1.0], 2, v)),
-    "SampleSpectrum.beta": ("beta", lambda v: SampleSpectrum([2.0, 1.0], 2, 10, v)),
+    "SampleSpectrum.beta": ("beta", lambda v: SampleSpectrum([2.0, 1.0], 2, 3, v)),
     "SnapshotMatrix.n": ("n", lambda v: SnapshotMatrix(np.ones((2, 3)), v, 3, 1)),
     "SnapshotMatrix.m": ("m", lambda v: SnapshotMatrix(np.ones((2, 3)), 2, v, 1)),
     "SnapshotMatrix.beta": ("beta", lambda v: SnapshotMatrix(np.ones((2, 3)), 2, 3, v)),
+    "eigenvalues header.n": ("n", lambda v: _parse_header(f"eigenvalues,n={v},m=3,beta=1")),
+    "eigenvalues header.m": ("m", lambda v: _parse_header(f"eigenvalues,n=2,m={v},beta=1")),
+    "eigenvalues header.beta": ("beta", lambda v: _parse_header(f"eigenvalues,n=2,m=3,beta={v}")),
+    "snapshots header.n": ("n", lambda v: _parse_header(f"snapshots,n={v},m=3,beta=1")),
+    "snapshots header.m": ("m", lambda v: _parse_header(f"snapshots,n=2,m={v},beta=1")),
+    "snapshots header.beta": ("beta", lambda v: _parse_header(f"snapshots,n=2,m=3,beta={v}")),
     "ExperimentPlan.grid n": ("grid n", lambda v: small_plan(grid=((v, 32),))),
     "ExperimentPlan.grid m": ("grid m", lambda v: small_plan(grid=((16, v),))),
     "ExperimentPlan.trials": ("trials", lambda v: small_plan(trials=v)),
@@ -65,17 +72,41 @@ SIZED_CALLS = {
 
 BAD_SIZES = [8.9, 2.0, np.float64(3.0), True, "7", None]
 
+# n and m below 1 and an unsupported beta: every holder of the three fields,
+# an estimate file's header included, raises the one error of core._sizes.
+N0 = (0, ValueError, "n and m must be positive, got n=0, m=3")
+M0 = (0, ValueError, "n and m must be positive, got n=2, m=0")
+BETA3 = (3, UnsupportedField, "beta must be one of (1, 2, 4), got 3")
+BETA4 = (4, UnsupportedField, "beta must be one of (1, 2), got 4")
+OUT_OF_RANGE = {
+    **dict.fromkeys(["ScenarioSpec.n", "SampleSpectrum.n", "SnapshotMatrix.n"], N0),
+    **dict.fromkeys(["eigenvalues header.n", "snapshots header.n"], N0),
+    **dict.fromkeys(["ScenarioSpec.m", "SampleSpectrum.m", "SnapshotMatrix.m"], M0),
+    **dict.fromkeys(["eigenvalues header.m", "snapshots header.m"], M0),
+    **dict.fromkeys(["ScenarioSpec.beta", "SampleSpectrum.beta", "eigenvalues header.beta"], BETA3),
+    **dict.fromkeys(["SnapshotMatrix.beta", "snapshots header.beta"], BETA4),
+}
 
-@pytest.mark.parametrize("call", sorted(SIZED_CALLS))
-@pytest.mark.parametrize("value", BAD_SIZES, ids=repr)
-def test_sizes_must_be_integers(monkeypatch, call, value):
+SIZE_ERRORS = [
+    pytest.param(
+        call, value, TypeError, f"{field} must be an integer, got {value!r}", id=f"{value!r}-{call}"
+    )
+    for call, (field, _) in sorted(SIZED_CALLS.items())
+    if "header" not in call  # header text that is no integer is an InputFormatError
+    for value in BAD_SIZES
+] + [
+    pytest.param(call, *error, id=f"{error[0]!r}-{call}") for call, error in sorted(OUT_OF_RANGE.items())
+]
+
+
+@pytest.mark.parametrize("call,value,error,message", SIZE_ERRORS)
+def test_sizes_must_be_integers(monkeypatch, call, value, error, message):
     def no_draws(*args):
         raise AssertionError("drew snapshots")
 
     monkeypatch.setattr("sigcount.montecarlo._draw", no_draws)
-    field, make = SIZED_CALLS[call]
-    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
-        make(value)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        SIZED_CALLS[call][1](value)
 
 
 def test_numpy_integer_sizes_become_ints():
@@ -187,6 +218,30 @@ class TestRunExperiment:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             run_experiment(small_plan(), workers=0)
+
+    def test_pool_never_outnumbers_jobs(self, monkeypatch):
+        # A forked pool starts every worker at the first submit, so a larger
+        # pool would fork processes that run no job. The fake starts none.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        plan = small_plan(trials=2)  # two grid points of two one-trial ranges each
+        assert run_experiment(plan, workers=64) == run_experiment(plan)
+        assert run_experiment(plan, workers=3) == run_experiment(plan)
+        assert sizes == [4, 3]
 
     @pytest.mark.parametrize(
         "run,context",

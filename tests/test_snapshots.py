@@ -12,6 +12,7 @@ from sigcount import (
     UnsupportedField,
     generate_snapshots,
     run_clt_check,
+    snapshot_spectrum,
 )
 
 # Each caller builds its streams from one seed; none may draw from a bad one.
@@ -176,6 +177,29 @@ class TestSnapshotMatrix:
     def test_rejects_empty_dimension(self, shape):
         with pytest.raises(ValueError, match="n and m must be positive"):
             SnapshotMatrix(np.empty(shape), *shape, beta=1)
+
+    @pytest.mark.parametrize(
+        "data,beta,dtype",
+        [
+            # Multiplied as it is, a bool array's product is a logical OR.
+            pytest.param(np.ones((2, 3), bool), 1, np.float64, id="bool"),
+            pytest.param(np.arange(6).reshape(2, 3), 1, np.float64, id="int"),
+            pytest.param(np.linspace(-1, 2, 6, dtype=np.float32).reshape(2, 3), 1, np.float64, id="float32"),
+            pytest.param(
+                (np.arange(6) - 2.5j).reshape(2, 3).astype(np.complex64), 2, np.complex128, id="complex64"
+            ),
+            pytest.param([["a", "b"]], 1, None, id="text"),
+        ],
+    )
+    def test_spectrum_is_that_of_the_double_precision_copy(self, data, beta, dtype):
+        n, m = np.shape(data)
+        if dtype is None:
+            with pytest.raises(ValueError):
+                SnapshotMatrix(data, n, m, beta)
+            return
+        got = snapshot_spectrum(SnapshotMatrix(data, n, m, beta)).eigenvalues
+        want = snapshot_spectrum(SnapshotMatrix(data.astype(dtype), n, m, beta)).eigenvalues
+        np.testing.assert_array_equal(got, want)
 
     def test_data_is_readonly_copy(self):
         source = np.ones((2, 3))
